@@ -125,6 +125,9 @@ def cmd_simulate_coverage(args):
     grid = cfg.grid_from_config(conf.get("grid"), "grid")
     reps = int(_resolve(args, conf, "reps", required=True))
     seed = int(_resolve(args, conf, "seed", 0))
+    # refuse before sampling, not after a long run
+    _guard_out(args.out, args.force)
+    report_path = _guard_out(_sibling(args.out, ".json"), args.force)
     samples = rngmod.run_batched(
         lambda rng, count: model.simulate(grid, rng, size=count),
         reps, seed, stream=0, threads=args.threads)
@@ -140,7 +143,7 @@ def cmd_simulate_coverage(args):
     report["rho"] = model.rho
     report["epoch_means"] = np.asarray(samples, dtype=float).mean(axis=0).tolist()
     report["epoch_variances"] = np.asarray(samples, dtype=float).var(axis=0, ddof=1).tolist()
-    _write_json(_sibling(args.out, ".json"), report, args.force)
+    _write_json(report_path, report, args.force)
     return 0
 
 

@@ -235,6 +235,20 @@ class WeightMatrix:
             fh.write("\n".join(lines) + "\n")
 
 
+def _four_point(inner, pad):
+    """Upper triangle of the four-point difference of a padded matrix.
+
+    Q is the (n+1, n+1) matrix holding ``inner`` at Q[1:, :-1] and ``pad``
+    on row 0 and column n (the gaps to t_0 = -inf and t_{n+1} = +inf); the
+    result is Q[:-1,:-1] - Q[1:,:-1] - Q[:-1,1:] + Q[1:,1:] with zeros
+    below the diagonal.
+    """
+    n = inner.shape[0]
+    q = np.full((n + 1, n + 1), pad)
+    q[1:, :-1] = inner
+    return np.triu(q[:-1, :-1] - q[1:, :-1] - q[:-1, 1:] + q[1:, 1:])
+
+
 def weights(structure, grid):
     """Rectangle weights of a correlation structure on a grid.
 
@@ -242,23 +256,14 @@ def weights(structure, grid):
     anything lower raises ConcavityError naming the entry.
     """
     t = grid.t
-    n = t.size
     # E[p, q] = H(t_q - t_p); only q >= p is meaningful
-    E = np.asarray(structure.eval(np.maximum(t[None, :] - t[:, None], 0.0)))
-    E = np.atleast_2d(E)
-    a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            t1 = 1.0 if i == 0 else E[i - 1, j]
-            t2 = E[i, j]
-            t3 = 1.0 if (i == 0 or j == n - 1) else E[i - 1, j + 1]
-            t4 = 1.0 if j == n - 1 else E[i, j + 1]
-            val = t1 - t2 - t3 + t4
-            if val < 0.0:
-                if val < _CLAMP_FLOOR:
-                    raise ConcavityError(i + 1, j + 1, val)
-                val = 0.0
-            a[i, j] = val
+    E = np.atleast_2d(structure.eval(np.maximum(t[None, :] - t[:, None], 0.0)))
+    a = _four_point(E, 1.0)
+    bad = np.argwhere(a < _CLAMP_FLOOR)
+    if bad.size:
+        i, j = bad[0]
+        raise ConcavityError(int(i) + 1, int(j) + 1, float(a[i, j]))
+    a[a < 0.0] = 0.0
     return WeightMatrix(grid=grid, a=a)
 
 
@@ -281,14 +286,24 @@ def b_to_a(b, grid=None):
     n = b.shape[0]
     if b.shape != (n, n):
         raise PreconditionError("b must be square")
-    padded = np.zeros((n + 2, n + 2))
-    padded[1 : n + 1, 1 : n + 1] = b
-    a = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            a[i - 1, j - 1] = (
-                padded[i, j] - padded[i, j + 1] - padded[i - 1, j] + padded[i - 1, j + 1]
-            )
+    a = _four_point(-b, 0.0)
     if grid is None:
         grid = TimeGrid(tuple(float(k) for k in range(1, n + 1)))
     return WeightMatrix(grid=grid, a=a)
+
+
+def block_spans(theta, n):
+    """Sums theta_i + ... + theta_j over every contiguous block i <= j.
+
+    ``theta`` is one vector (n,) or a stack (M, n).  Returns
+    ``(single, (ii, jj), spans)``: whether theta was one vector, the
+    ``np.triu_indices(n)`` block indices, and the (M, n(n+1)/2) spans in
+    that block order.
+    """
+    theta = np.asarray(theta, dtype=float)
+    th = np.atleast_2d(theta)
+    if th.shape[1] != n:
+        raise PreconditionError("theta length must match the grid")
+    prefix = np.concatenate([np.zeros((th.shape[0], 1)), np.cumsum(th, axis=1)], axis=1)
+    ii, jj = np.triu_indices(n)
+    return theta.ndim == 1, (ii, jj), prefix[:, jj + 1] - prefix[:, ii]

@@ -24,17 +24,7 @@ import numpy as np
 from . import corr
 from .errors import PreconditionError
 
-__all__ = [
-    "CoverageProcess",
-    "FidiTriplet",
-    "log_cf",
-    "consistency_check",
-    "triplet",
-    "sample_fidi",
-    "covariance",
-    "increment_cf",
-    "fourth_moment_increment_product",
-]
+__all__ = ["CoverageProcess", "FidiTriplet", "log_cf"]
 
 
 @dataclass
@@ -67,17 +57,8 @@ class CoverageProcess:
         returns complex scalar or (M,) respectively.
         """
         w = corr.weights(self.structure, grid)
-        theta = np.asarray(theta, dtype=float)
-        single = theta.ndim == 1
-        th = np.atleast_2d(theta)
-        if th.shape[1] != w.n:
-            raise PreconditionError("theta length must match the grid")
-        n = w.n
-        prefix = np.concatenate([np.zeros((th.shape[0], 1)), np.cumsum(th, axis=1)], axis=1)
-        ii, jj = np.triu_indices(n)
-        spans = prefix[:, jj + 1] - prefix[:, ii]      # theta_i + ... + theta_j
-        psi = self.law.eval(spans)
-        out = np.atleast_2d(psi) @ w.a[ii, jj]
+        single, (ii, jj), spans = corr.block_spans(theta, w.n)
+        out = np.atleast_2d(self.law.eval(spans)) @ w.a[ii, jj]
         return complex(out[0]) if single else np.asarray(out)
 
     def cf(self, grid, theta):
@@ -119,16 +100,23 @@ class CoverageProcess:
     # -- exact sampling ---------------------------------------------------
 
     def sample(self, grid, rng, size=None):
-        """Exact draw of (X_{t_1}, ..., X_{t_n}); (n,) or (size, n)."""
+        """Exact draw of (X_{t_1}, ..., X_{t_n}); (n,) or (size, n).
+
+        One increment per block, drawn in (i, j) order.  Each is added at
+        row i and removed at row j+1 of a difference array, whose running
+        sum over rows is the sample: O(size * n^2) work in all.
+        """
         w = corr.weights(self.structure, grid)
         n = w.n
         m = 1 if size is None else int(size)
-        out = np.zeros((m, n))
+        diff = np.zeros((n + 1, m))
         for i in range(n):
             for j in range(i, n):
                 z = self.law.sample_increment(w.a[i, j], rng, size=(m,))
-                out[:, i : j + 1] += z[:, None]
-        return out[0] if size is None else out
+                diff[i] += z
+                diff[j + 1] -= z
+        out = np.cumsum(diff[:n], axis=0, out=diff[:n])
+        return out[:, 0] if size is None else out.T
 
     # -- two-epoch summaries ----------------------------------------------
 
@@ -170,31 +158,7 @@ class CoverageProcess:
         return kappa4 * a0 + kappa2**2 * ((a0 + a1) * (a0 + a2) + 2.0 * a0**2)
 
 
-# -- free-function forms -------------------------------------------------
+# -- free-function form ---------------------------------------------------
 
 def log_cf(process, grid, theta):
     return process.log_cf(grid, theta)
-
-
-def consistency_check(process, grid, theta, k):
-    return process.consistency_check(grid, theta, k)
-
-
-def triplet(process, grid):
-    return process.triplet(grid)
-
-
-def sample_fidi(process, grid, rng, size=None):
-    return process.sample(grid, rng, size=size)
-
-
-def covariance(process, h):
-    return process.covariance(h)
-
-
-def increment_cf(process, h, theta):
-    return process.increment_cf(h, theta)
-
-
-def fourth_moment_increment_product(process, t1, t2, t3):
-    return process.fourth_moment_increment_product(t1, t2, t3)

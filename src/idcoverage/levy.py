@@ -401,7 +401,7 @@ class LevyExponent:
         return out
 
 
-# ---- constructors and free-function forms of the API ------------------
+# ---- constructors -------------------------------------------------------
 
 def gaussian(beta, sigma2):
     return LevyExponent("gaussian", beta=beta, sigma2=sigma2)
@@ -421,16 +421,3 @@ def gamma_law():
 
 def spectrally_positive(measure, trunc_eps=1e-6):
     return LevyExponent("spectrally_positive", measure=measure, trunc_eps=trunc_eps)
-
-
-def eval_exponent(law, theta):
-    return law.eval(theta)
-
-
-def exponent_moments(law):
-    """(mean, variance) of the time-1 increment."""
-    return law.mean(), law.variance()
-
-
-def sample_increment(law, t, rng, size=None):
-    return law.sample_increment(t, rng, size=size)

@@ -13,7 +13,7 @@ machinery, so the two can be used as mutual oracles.
 
 import numpy as np
 
-from .corr import TimeGrid
+from .corr import block_spans
 from .errors import PreconditionError
 
 _WINDOW_QUANTILE = 1.0 - 1e-9
@@ -47,30 +47,18 @@ class MGInfinityModel:
         cannot occur.
         """
         t = grid.t
-        n = t.size
-        gi = self.service.integrated_tail
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = (1.0 if i == 0 else gi(t[j] - t[i - 1]))
-                v -= gi(t[j] - t[i])
-                v -= 1.0 if (i == 0 or j == n - 1) else gi(t[j + 1] - t[i - 1])
-                v += 1.0 if j == n - 1 else gi(t[j + 1] - t[i])
-                out[i, j] = max(v, 0.0)
-        return self.rho * out
+        # customers arrived by t_i and still in service at t_j (j >= i)
+        present = self.rho * (1.0 - self.service.integrated_tail(t[None, :] - t[:, None]))
+        # of those, the ones that arrived after t_{i-1} ...
+        cohort = np.diff(present, axis=0, prepend=0.0)
+        # ... less the ones still in service at t_{j+1}
+        mu = -np.diff(cohort, axis=1, append=0.0)
+        return np.maximum(np.triu(mu), 0.0)
 
     def log_cf(self, grid, theta):
         """Joint log CF: sum over blocks of mu(A[i,j]) (chi(span) - 1)."""
-        theta = np.asarray(theta, dtype=float)
-        single = theta.ndim == 1
-        th = np.atleast_2d(theta)
-        n = len(grid)
-        if th.shape[1] != n:
-            raise PreconditionError("theta length must match the grid")
+        single, (ii, jj), spans = block_spans(theta, len(grid))
         mu = self.mu_rect(grid)
-        prefix = np.concatenate([np.zeros((th.shape[0], 1)), np.cumsum(th, axis=1)], axis=1)
-        ii, jj = np.triu_indices(n)
-        spans = prefix[:, jj + 1] - prefix[:, ii]
         vals = (np.atleast_2d(self.mark_cf(spans)) - 1.0) @ mu[ii, jj]
         return complex(vals[0]) if single else np.asarray(vals)
 
@@ -115,10 +103,6 @@ class MGInfinityModel:
             else:
                 out[:, k] = np.bincount(owner[active], weights=weights[active], minlength=reps)
         return out[0] if size is None else out
-
-
-def mu_rect(model, grid):
-    return model.mu_rect(grid)
 
 
 def joint_cf_analytic(model, grid, theta):

@@ -110,14 +110,6 @@ class OnOffSource:
         return out[0] if size is None else out
 
 
-def transition_matrix(src, t):
-    return src.transition_matrix(t)
-
-
-def simulate_source_path(src, grid, rng, size=None):
-    return src.simulate_path(grid, rng, size=size)
-
-
 class OnOffArraySpec:
     """A triangular array of source parameters with a common ON rate mu.
 
@@ -304,14 +296,11 @@ def espc_weights(mu, grid):
     (1 - e^{-mu(t_j - t_{j-1})}) e^{-mu(t_k - t_j)} (1 - e^{-mu(t_{k+1} - t_k)})
     with boundary factors 1."""
     t = _epochs(grid)
-    n = t.size
-    out = np.zeros((n, n))
-    for j in range(n):
-        left = 1.0 if j == 0 else -np.expm1(-mu * (t[j] - t[j - 1]))
-        for k in range(j, n):
-            right = 1.0 if k == n - 1 else -np.expm1(-mu * (t[k + 1] - t[k]))
-            out[j, k] = left * np.exp(-mu * (t[k] - t[j])) * right
-    return out
+    gaps = -np.expm1(-mu * np.diff(t))
+    left = np.concatenate([[1.0], gaps])
+    right = np.concatenate([gaps, [1.0]])
+    decay = np.exp(-mu * np.maximum(t[None, :] - t[:, None], 0.0))
+    return np.triu(left[:, None] * decay * right[None, :])
 
 
 def espc_log_cf(nu, mu, grid, theta):

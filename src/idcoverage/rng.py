@@ -38,13 +38,12 @@ def run_batched(fn, total, seed, stream=0, batch=DEFAULT_BATCH, threads=1):
     Results are concatenated in batch order; ``threads`` only controls how
     many batches run concurrently, never the output.
     """
-    sizes = batch_sizes(total, batch)
+    # an empty run still makes one call, so the result keeps fn's trailing shape
+    sizes = batch_sizes(total, batch) or [0]
     rngs = [child_rng(seed, stream, b) for b in range(len(sizes))]
     if threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(fn, rngs, sizes))
     else:
         parts = [fn(r, c) for r, c in zip(rngs, sizes)]
-    if not parts:
-        return np.empty((0,))
     return np.concatenate(parts, axis=0)

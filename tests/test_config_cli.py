@@ -236,6 +236,20 @@ class TestSimulateCoverage:
         first = open(out).read().splitlines()[1]
         assert "." in first or "e" in first
 
+    def test_existing_report_refused_before_sampling(self, tmp_path, capsys):
+        conf = write_config(tmp_path, "c.json", {
+            "arrival_rate": 1.0,
+            "service": {"kind": "exponential", "rate": 1.0},
+            "grid": [0.0, 1.0],
+            "reps": 400,
+            "seed": 3,
+        })
+        (tmp_path / "counts.json").write_text("{}")
+        out = tmp_path / "counts.csv"
+        assert cli.main(["simulate-coverage", "--config", conf, "--out", str(out)]) == 2
+        assert "counts.json" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateOnoff:
     CONF = {

@@ -192,6 +192,29 @@ def test_sampler_single_draw_shape():
     assert (x >= 0).all()
 
 
+def per_block_sample(proc, grid, rng, size):
+    """Reference sampler: add each block's increment to every coordinate it covers."""
+    w = corr.weights(proc.structure, grid)
+    out = np.zeros((size, w.n))
+    for i in range(w.n):
+        for j in range(i, w.n):
+            out[:, i : j + 1] += proc.law.sample_increment(w.a[i, j], rng, size=(size,))[:, None]
+    return out
+
+
+@pytest.mark.parametrize("law_name", ["poisson", "gamma"])
+def test_sampler_matches_per_block_reference(law_name):
+    # same seed, same draw order: integer laws agree exactly, others to rounding
+    proc = make_process(law_name, mu=0.8)
+    g = corr.TimeGrid([0.0, 0.3, 1.1, 1.2, 2.5, 4.0])
+    got = proc.sample(g, child_rng(65), size=500)
+    ref = per_block_sample(proc, g, child_rng(65), 500)
+    if law_name == "poisson":
+        assert np.array_equal(got, ref)
+    else:
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
 def test_fourth_moment_gaussian_matches_isserlis():
     sigma2 = 1.7
     law = levy.gaussian(0.0, sigma2)
