@@ -18,6 +18,7 @@ from . import corr, fidi, mginf, onoff, rng as rngmod, stats, verify
 from .errors import BoundViolationError, PreconditionError, QuadratureError
 
 _DEFAULT_THETA = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
+_DEFAULT_THETA_MAX_EPOCHS = 6   # 6^6 = 46,656 default theta vectors
 
 
 class CliError(Exception):
@@ -74,6 +75,18 @@ def _write_csv(path, arr, header, force, integer=False):
                fmt="%d" if integer else "%.17g")
 
 
+def _thetas(conf, n):
+    """Theta vectors from the config, else the default product grid on
+    up to _DEFAULT_THETA_MAX_EPOCHS epochs.  Call before sampling."""
+    if "thetas" in conf or "theta_grid" in conf:
+        return cfg.thetas_from_config(conf, n)
+    if n > _DEFAULT_THETA_MAX_EPOCHS:
+        raise CliError(
+            f"the default theta grid would hold {len(_DEFAULT_THETA)}^{n} vectors "
+            f"on {n} epochs; set theta_grid or thetas in the config")
+    return stats.theta_product_grid([_DEFAULT_THETA] * n)
+
+
 def _sibling(path, suffix):
     base, _ = os.path.splitext(path)
     return base + suffix
@@ -126,6 +139,7 @@ def cmd_simulate_coverage(args):
     reps = int(_resolve(args, conf, "reps", required=True))
     seed = int(_resolve(args, conf, "seed", 0))
     # refuse before sampling, not after a long run
+    thetas = _thetas(conf, len(grid))
     _guard_out(args.out, args.force)
     report_path = _guard_out(_sibling(args.out, ".json"), args.force)
     samples = rngmod.run_batched(
@@ -133,10 +147,6 @@ def cmd_simulate_coverage(args):
         reps, seed, stream=0, threads=args.threads)
     header = ",".join(f"x{k + 1}" for k in range(len(grid)))
     _write_csv(args.out, samples, header, args.force, integer=marks is None)
-    if "theta_grid" in conf or "thetas" in conf:
-        thetas = cfg.thetas_from_config(conf, len(grid))
-    else:
-        thetas = stats.theta_product_grid([_DEFAULT_THETA] * len(grid))
     emp = stats.empirical_cf(samples, thetas)
     analytic = np.exp(np.atleast_1d(model.log_cf(grid, thetas)))
     report = stats.cf_report(emp, stats.cf_distance(emp, analytic))
@@ -156,10 +166,9 @@ def cmd_simulate_onoff(args):
     n = int(conf["n"])
     reps = int(_resolve(args, conf, "reps", required=True))
     seed = int(_resolve(args, conf, "seed", 0))
-    batch = max(1, min(rngmod.DEFAULT_BATCH, 5_000_000 // max(n, 1)))
     samples = rngmod.run_batched(
         lambda rng, count: onoff.superpose(spec, n, grid, rng, reps=count),
-        reps, seed, stream=0, batch=batch, threads=args.threads)
+        reps, seed, stream=0, batch=onoff.row_batch(n), threads=args.threads)
     header = ",".join(f"x{k + 1}" for k in range(len(grid)))
     _write_csv(args.out, samples, header, args.force)
     return 0
@@ -192,9 +201,10 @@ def cmd_convergence(args):
     n_list = conf.get("n_list", [100, 1000, 10000])
     reps = int(_resolve(args, conf, "reps", required=True))
     seed = int(_resolve(args, conf, "seed", 0))
-    thetas = cfg.thetas_from_config(conf, len(grid)) \
-        if ("thetas" in conf or "theta_grid" in conf) \
-        else stats.theta_product_grid([_DEFAULT_THETA] * len(grid))
+    thetas = _thetas(conf, len(grid))
+    # refuse before the study, not after it
+    _guard_out(args.out, args.force)
+    table_path = _guard_out(_sibling(args.out, ".csv"), args.force)
     report = onoff.convergence_study(spec, nu, mu, grid, thetas, n_list, reps,
                                      seed, threads=args.threads)
     report["assumptions"] = onoff.check_assumptions(
@@ -203,7 +213,7 @@ def cmd_convergence(args):
     _write_json(args.out, report, args.force)
     rows = report["rows"]
     table = np.array([[r["n"], r["sup"], r["l2"], r["analytic_bias"]] for r in rows])
-    _write_csv(_sibling(args.out, ".csv"), table, "n,sup,l2,analytic_bias", args.force)
+    _write_csv(table_path, table, "n,sup,l2,analytic_bias", args.force)
     return 0
 
 

@@ -81,40 +81,31 @@ class LevyMeasure:
     def from_density(cls, density, lower, upper):
         return cls("density", density=density, lower=lower, upper=upper)
 
+    def _integral(self, q, lo, hi):
+        """int_[lo, hi) x^q d(measure)."""
+        if self.kind == "atomic":
+            keep = (self.locations >= lo) & (self.locations < hi)
+            return float(np.sum(self.masses[keep] * self.locations[keep]**q))
+        a, b = max(self.lower, lo), min(self.upper, hi)
+        if a >= b:
+            return 0.0
+        return _quad(lambda x: x**q * self.density(x), a, b)
+
     def moment(self, q):
         """int x^q d(measure); q = 1 must be finite for a law to be built."""
-        if self.kind == "atomic":
-            return float(np.sum(self.masses * self.locations**q))
-        return _quad(lambda x: x**q * self.density(x), self.lower, self.upper)
+        return self._integral(q, 0.0, np.inf)
 
     def tail(self, x):
         """Mass of [x, inf)."""
-        if self.kind == "atomic":
-            return float(np.sum(self.masses[self.locations >= x]))
-        lo = max(self.lower, x)
-        if lo >= self.upper:
-            return 0.0
-        return _quad(self.density, lo, self.upper)
+        return self._integral(0, x, np.inf)
 
     def first_moment_tail(self, x):
         """int_{[x, inf)} y d(measure)."""
-        if self.kind == "atomic":
-            keep = self.locations >= x
-            return float(np.sum(self.masses[keep] * self.locations[keep]))
-        lo = max(self.lower, x)
-        if lo >= self.upper:
-            return 0.0
-        return _quad(lambda y: y * self.density(y), lo, self.upper)
+        return self._integral(1, x, np.inf)
 
     def truncated_first_moment(self, eps):
         """int_{(0, eps)} y d(measure), the mean carried by small jumps."""
-        if self.kind == "atomic":
-            keep = self.locations < eps
-            return float(np.sum(self.masses[keep] * self.locations[keep]))
-        hi = min(self.upper, eps)
-        if hi <= self.lower:
-            return 0.0
-        return _quad(lambda y: y * self.density(y), self.lower, hi)
+        return self._integral(1, 0.0, eps)
 
     def scale(self, c):
         """The measure multiplied by a positive constant."""
@@ -342,7 +333,7 @@ class LevyExponent:
             pdf = np.array([nu.density(x) for x in grid])
             cdf = integrate.cumulative_trapezoid(pdf, grid, initial=0.0)
             cdf /= cdf[-1]
-            rate = _quad(nu.density, lo, nu.upper)
+            rate = nu.tail(lo)
             comp = nu.truncated_first_moment(self.trunc_eps)
             self._invcdf = (cdf, grid, rate, comp)
         return self._invcdf

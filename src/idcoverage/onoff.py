@@ -30,14 +30,40 @@ _SUBSET_CAP = 12
 
 def _epochs(grid):
     """Accept a TimeGrid or any strictly increasing 1-d array-like."""
-    if isinstance(grid, corr.TimeGrid):
-        return grid.t
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise PreconditionError("grid must be a 1-d sequence of epochs")
-    if t.size > 1 and not (np.diff(t) > 0).all():
-        raise PreconditionError("grid epochs must be strictly increasing")
-    return t
+    return (grid if isinstance(grid, corr.TimeGrid) else corr.TimeGrid(grid)).t
+
+
+def _on_probs(lam, mu, gap):
+    """(p01, p11): chance of ON after a gap from OFF and from ON.
+
+    p01 = pi (1 - e^{-a gap}) and p11 = pi + (1 - pi) e^{-a gap}, with
+    a = lam + mu and pi = lam / a; scalars or broadcastable arrays.
+    """
+    alpha = lam + mu
+    pi = lam / alpha
+    decay = np.exp(-alpha * gap)
+    return pi * (1.0 - decay), pi + (1.0 - pi) * decay
+
+
+def row_batch(n):
+    """Replications per batch for a row of n sources: at most
+    _BLOCK_ELEMENTS source states in one sampler block."""
+    return max(1, min(rngmod.DEFAULT_BATCH, _BLOCK_ELEMENTS // max(n, 1)))
+
+
+def _row_paths(lam, mu, r, t, rng, reps):
+    """Summed exact skeleton paths of independent sources, (reps, len(t)).
+
+    One stationary-start uniform per source, then one per source per gap.
+    """
+    out = np.empty((reps, t.size))
+    state = rng.random((reps, lam.size)) < lam / (lam + mu)
+    out[:, 0] = state @ r
+    for k in range(1, t.size):
+        p01, p11 = _on_probs(lam, mu, t[k] - t[k - 1])
+        state = rng.random((reps, lam.size)) < np.where(state, p11, p01)
+        out[:, k] = state @ r
+    return out
 
 
 @dataclass(frozen=True)
@@ -62,24 +88,15 @@ class OnOffSource:
         """P(t) over states (OFF, ON); exact two-state chain solution."""
         if t < 0:
             raise PreconditionError("t must be nonnegative")
-        pi, decay = self.pi, np.exp(-self.alpha * t)
-        return np.array(
-            [
-                [1.0 - pi + pi * decay, pi * (1.0 - decay)],
-                [(1.0 - pi) * (1.0 - decay), pi + (1.0 - pi) * decay],
-            ]
-        )
+        p01, p11 = _on_probs(self.lam, self.mu, t)
+        return np.array([[1.0 - p01, p01], [1.0 - p11, p11]])
 
     def joint_on_moment(self, epochs):
         """E[xi(t_1)...xi(t_k)] for ordered epochs; xi the ON indicator."""
-        epochs = np.asarray(epochs, dtype=float)
-        if epochs.size == 0:
+        if np.size(epochs) == 0:
             return 1.0
-        if epochs.size > 1 and not (np.diff(epochs) > 0).all():
-            raise PreconditionError("epochs must be strictly increasing")
-        pi = self.pi
-        decay = np.exp(-self.alpha * np.diff(epochs))
-        return float(pi * np.prod(decay + pi * (1.0 - decay)))
+        _, p11 = _on_probs(self.lam, self.mu, np.diff(_epochs(epochs)))
+        return float(self.pi * np.prod(p11))
 
     def joint_log_cf(self, grid, theta):
         """Exact joint log CF of (zeta(t_1), ..., zeta(t_m)) by chain algebra."""
@@ -96,17 +113,8 @@ class OnOffSource:
     def simulate_path(self, grid, rng, size=None):
         """Draw zeta at the grid epochs exactly (stationary start, exact
         gap transitions; no path discretization)."""
-        t = _epochs(grid)
-        reps = 1 if size is None else int(size)
-        pi = self.pi
-        out = np.empty((reps, t.size))
-        state = rng.random(reps) < pi
-        out[:, 0] = state * self.r
-        for k in range(1, t.size):
-            p = self.transition_matrix(t[k] - t[k - 1])
-            prob_on = np.where(state, p[1, 1], p[0, 1])
-            state = rng.random(reps) < prob_on
-            out[:, k] = state * self.r
+        out = _row_paths(np.array([self.lam]), self.mu, np.array([self.r]),
+                         _epochs(grid), rng, 1 if size is None else int(size))
         return out[0] if size is None else out
 
 
@@ -183,12 +191,6 @@ class EmpiricalLevyMeasure:
         keep = self.r <= eps
         return float((self.lam[keep] * self.r[keep]).sum())
 
-    def cf_sum(self, theta):
-        """sum_j lam_j (e^{i theta r_j} - 1), vectorized over theta."""
-        theta = np.asarray(theta, dtype=float)
-        out = (np.exp(1j * np.multiply.outer(theta, self.r)) - 1.0) @ self.lam
-        return out if out.ndim else complex(out)
-
 
 def row_measure(spec, n):
     lam, r = spec.row(n)
@@ -205,26 +207,11 @@ def superpose(spec, n, grid, rng, reps=None):
     """
     lam, r = spec.row(n)
     t = _epochs(grid)
-    m = t.size
     total = 1 if reps is None else int(reps)
-    pi = lam / (lam + spec.mu)
-    alpha = lam + spec.mu
-    out = np.empty((total, m))
     block = max(1, _BLOCK_ELEMENTS // max(n, 1))
-    # per-gap ON probabilities from each state, per source
-    gap_probs = []
-    for k in range(1, m):
-        decay = np.exp(-alpha * (t[k] - t[k - 1]))
-        gap_probs.append((pi * (1.0 - decay), pi + (1.0 - pi) * decay))
+    out = np.empty((total, t.size))
     for lo in range(0, total, block):
-        hi = min(lo + block, total)
-        state = rng.random((hi - lo, n)) < pi
-        out[lo:hi, 0] = state @ r
-        for k in range(1, m):
-            from_off, from_on = gap_probs[k - 1]
-            prob_on = np.where(state, from_on, from_off)
-            state = rng.random((hi - lo, n)) < prob_on
-            out[lo:hi, k] = state @ r
+        out[lo:lo + block] = _row_paths(lam, spec.mu, r, t, rng, min(block, total - lo))
     return out[0] if reps is None else out
 
 
@@ -242,7 +229,6 @@ def row_joint_log_cf(spec, n, grid, thetas):
     if th.shape[1] != m:
         raise PreconditionError("theta length must match the grid")
     pi = lam / (lam + spec.mu)
-    alpha = lam + spec.mu
     # w has shape (M, n, 2): chain state weights per theta row and source
     w = np.empty((th.shape[0], n, 2), dtype=complex)
     w[:, :, 0] = 1.0 - pi
@@ -250,12 +236,8 @@ def row_joint_log_cf(spec, n, grid, thetas):
     for k in range(m):
         w[:, :, 1] *= np.exp(1j * np.multiply.outer(th[:, k], r))
         if k + 1 < m:
-            decay = np.exp(-alpha * (t[k + 1] - t[k]))
-            p00 = 1.0 - pi + pi * decay
-            p01 = pi * (1.0 - decay)
-            p10 = (1.0 - pi) * (1.0 - decay)
-            p11 = pi + (1.0 - pi) * decay
-            w0 = w[:, :, 0] * p00 + w[:, :, 1] * p10
+            p01, p11 = _on_probs(lam, spec.mu, t[k + 1] - t[k])
+            w0 = w[:, :, 0] * (1.0 - p01) + w[:, :, 1] * (1.0 - p11)
             w1 = w[:, :, 0] * p01 + w[:, :, 1] * p11
             w[:, :, 0], w[:, :, 1] = w0, w1
     per_source = w.sum(axis=2)
@@ -403,19 +385,15 @@ def convergence_study(spec, nu, mu, grid, theta_vectors, n_list, n_reps, seed,
     apart.  The Monte-Carlo allowance 4/sqrt(N) is included.
     """
     theta_vectors = np.asarray(theta_vectors, dtype=float)
-    limit_vals = np.exp(
-        fidi.CoverageProcess(limit_exponent(nu, mu), corr.exponential_structure(mu))
-        .log_cf(grid, theta_vectors)
-    )
+    limit_vals = np.exp(espc_log_cf(nu, mu, grid, theta_vectors))
     rows = []
     for idx, n in enumerate(n_list):
         n = int(n)
         exact_vals = np.exp(row_joint_log_cf(spec, n, grid, theta_vectors))
         bias = float(np.abs(exact_vals - limit_vals).max())
-        batch = max(1, min(rngmod.DEFAULT_BATCH, _BLOCK_ELEMENTS // max(n, 1)))
         samples = rngmod.run_batched(
             lambda rng, count, _n=n: superpose(spec, _n, grid, rng, reps=count),
-            n_reps, seed, stream=idx, batch=batch, threads=threads,
+            n_reps, seed, stream=idx, batch=row_batch(n), threads=threads,
         )
         emp = stats.empirical_cf(samples, theta_vectors)
         sup, l2 = stats.cf_distance(emp, limit_vals)
@@ -430,17 +408,17 @@ def convergence_study(spec, nu, mu, grid, theta_vectors, n_list, n_reps, seed,
 
 # ---- closed-form increment moments and their bounds ----------------------
 
-def _pair_product(src, d1, d2):
-    """E[(z_t - z_u)^2 (z_s - z_t)^2] with d1 = t-u, d2 = s-t, exact."""
-    a = src.alpha
-    return (src.lam * src.mu * src.r**4 / a**2
-            * -np.expm1(-a * d1) * -np.expm1(-a * d2))
+def _pair_product(lam, mu, r, d1, d2):
+    """E[(z_t - z_u)^2 (z_s - z_t)^2] with d1 = t-u, d2 = s-t, exact;
+    scalars or arrays of source parameters."""
+    a = lam + mu
+    return lam * mu * r**4 / a**2 * -np.expm1(-a * d1) * -np.expm1(-a * d2)
 
 
-def _pair_square(src, d):
-    """E[(z_t - z_u)^2] with d = t-u, exact."""
-    a = src.alpha
-    return 2.0 * src.lam * src.mu * src.r**2 / a**2 * -np.expm1(-a * d)
+def _pair_square(lam, mu, r, d):
+    """E[(z_t - z_u)^2] with d = t-u, exact; scalars or arrays."""
+    a = lam + mu
+    return 2.0 * lam * mu * r**2 / a**2 * -np.expm1(-a * d)
 
 
 def increment_moment_forms(src, u, t, s):
@@ -448,9 +426,9 @@ def increment_moment_forms(src, u, t, s):
     if not u < t < s:
         raise PreconditionError("need u < t < s")
     d1, d2 = t - u, s - t
-    q1 = _pair_product(src, d1, d2)
+    q1 = _pair_product(src.lam, src.mu, src.r, d1, d2)
     q2 = q1 / src.r**2          # |E[(z_u - z_t)(z_t - z_s)]|, Jensen is tight here
-    q3 = _pair_square(src, d1)
+    q3 = _pair_square(src.lam, src.mu, src.r, d1)
     lm = src.lam * src.mu
     return {
         "product_sq": (q1, src.r**4 * lm * (s - u) ** 2 / 4.0),
@@ -505,15 +483,11 @@ def row_increment_fourth_moment(spec, n, u, t, s):
     Independent zero-mean per-source increments, so the row moment is the
     per-source term plus the two pairing contractions across sources.
     """
-    q1 = np.empty(n)
-    a_ut = np.empty(n)
-    a_ts = np.empty(n)
-    cross = np.empty(n)
-    for j, src in enumerate(spec.sources(n)):
-        q1[j] = _pair_product(src, t - u, s - t)
-        a_ut[j] = _pair_square(src, t - u)
-        a_ts[j] = _pair_square(src, s - t)
-        cross[j] = -q1[j] / src.r**2
+    lam, r = spec.row(n)
+    q1 = _pair_product(lam, spec.mu, r, t - u, s - t)
+    a_ut = _pair_square(lam, spec.mu, r, t - u)
+    a_ts = _pair_square(lam, spec.mu, r, s - t)
+    cross = -q1 / r**2
     pair_sq = a_ut.sum() * a_ts.sum() - (a_ut * a_ts).sum()
     pair_cross = cross.sum() ** 2 - (cross**2).sum()
     return float(q1.sum() + pair_sq + 2.0 * pair_cross)

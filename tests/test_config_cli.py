@@ -251,6 +251,33 @@ class TestSimulateCoverage:
         assert not out.exists()
 
 
+    def test_wrong_theta_length_refused_before_sampling(self, tmp_path, capsys):
+        conf = write_config(tmp_path, "c.json", {
+            "arrival_rate": 1.0,
+            "service": {"kind": "exponential", "rate": 1.0},
+            "grid": [0.0, 1.0],
+            "reps": 400,
+            "seed": 3,
+            "thetas": [[1.0, -1.0, 0.5]],
+        })
+        out = tmp_path / "counts.csv"
+        assert cli.main(["simulate-coverage", "--config", conf, "--out", str(out)]) == 2
+        assert "thetas" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_theta_grid_capped_before_sampling(self, tmp_path, capsys):
+        conf = write_config(tmp_path, "c.json", {
+            "arrival_rate": 1.0,
+            "service": {"kind": "exponential", "rate": 1.0},
+            "grid": [float(k) for k in range(7)],
+            "reps": 5,
+            "seed": 3,
+        })
+        out = tmp_path / "counts.csv"
+        assert cli.main(["simulate-coverage", "--config", conf, "--out", str(out)]) == 2
+        assert "theta_grid" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestSimulateOnoff:
     CONF = {
         "array": {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
@@ -312,6 +339,22 @@ class TestCheckArrayAndConvergence:
         assert table[0] == "n,sup,l2,analytic_bias"
         assert len(table) == 3
 
+
+    def test_existing_table_refused_before_study(self, tmp_path, capsys):
+        conf = write_config(tmp_path, "c.json", {
+            "array": {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
+            "measure": {"kind": "reciprocal", "b": 0.5},
+            "grid": [0.0, 1.0],
+            "n_list": [50],
+            "reps": 200,
+            "seed": 5,
+            "theta_grid": [-1.0, 1.0],
+        })
+        (tmp_path / "conv.csv").write_text("n,sup,l2,analytic_bias\n")
+        out = tmp_path / "conv.json"
+        assert cli.main(["convergence", "--config", conf, "--out", str(out)]) == 2
+        assert "conv.csv" in capsys.readouterr().err
+        assert not out.exists()
 
 class TestVerifyCommand:
     def test_exit_zero_and_pass_lines(self, capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from idcoverage import corr, fidi, levy, onoff, stats
+from idcoverage import corr, fidi, levy, onoff, rng as rngmod, stats
 from idcoverage.errors import BoundViolationError, PreconditionError
 from idcoverage.rng import child_rng
 
@@ -266,6 +266,62 @@ class TestRowCfAndSuperposition:
             assert abs(r["sup"] - r["analytic_bias"]) <= allowance
 
 
+def reference_path(src, t, rng, reps):
+    """Per-source skeleton loop, one 1-d uniform draw per epoch."""
+    pi, out = src.pi, np.empty((reps, t.size))
+    state = rng.random(reps) < pi
+    out[:, 0] = state * src.r
+    for k in range(1, t.size):
+        decay = np.exp(-src.alpha * (t[k] - t[k - 1]))
+        state = rng.random(reps) < np.where(state, pi + (1 - pi) * decay, pi * (1 - decay))
+        out[:, k] = state * src.r
+    return out
+
+
+def reference_superpose(lam, mu, r, t, rng, total, block):
+    """Row sums drawn block by block, the whole (block, n) state per epoch."""
+    pi, out = lam / (lam + mu), np.empty((total, t.size))
+    for lo in range(0, total, block):
+        state = rng.random((min(block, total - lo), lam.size)) < pi
+        out[lo:lo + block, 0] = state @ r
+        for k in range(1, t.size):
+            decay = np.exp(-(lam + mu) * (t[k] - t[k - 1]))
+            state = rng.random(state.shape) < np.where(state, pi + (1 - pi) * decay,
+                                                       pi * (1 - decay))
+            out[lo:lo + block, k] = state @ r
+    return out
+
+
+class TestRandomStream:
+    """The samplers draw the same uniforms, in the same order, as the
+    per-source and per-block reference loops above."""
+
+    def test_simulate_path_matches_reference(self):
+        src = onoff.OnOffSource(lam=0.7, mu=1.3, r=2.0)
+        grid = corr.TimeGrid([0.0, 0.4, 1.0, 2.5])
+        for size in (None, 5000):
+            got = src.simulate_path(grid, child_rng(701), size=size)
+            want = reference_path(src, grid.t, child_rng(701), 1 if size is None else size)
+            assert np.array_equal(got, want[0] if size is None else want)
+
+    def test_superpose_matches_reference_across_blocks(self):
+        spec = onoff.OnOffArraySpec("power_example", mu=1.0, alpha_exp=0.5, b=0.5)
+        grid = corr.TimeGrid([0.0, 0.5, 1.5])
+        n, reps = 50_000, 250      # blocks of 100 reps: 100 + 100 + 50
+        lam, r = spec.row(n)
+        got = onoff.superpose(spec, n, grid, child_rng(702), reps=reps)
+        want = reference_superpose(lam, spec.mu, r, grid.t, child_rng(702), reps,
+                                   onoff._BLOCK_ELEMENTS // n)
+        assert np.array_equal(got, want)
+
+    def test_row_batch_reads_default_batch_at_call_time(self, monkeypatch):
+        assert onoff.row_batch(10) == rngmod.DEFAULT_BATCH
+        assert onoff.row_batch(10**6) == onoff._BLOCK_ELEMENTS // 10**6
+        monkeypatch.setattr(rngmod, "DEFAULT_BATCH", 64)
+        assert onoff.row_batch(10) == 64
+        assert onoff.row_batch(10**8) == 1
+
+
 class TestIncrementBounds:
     def test_closed_forms_match_monte_carlo(self):
         src = onoff.OnOffSource(lam=0.6, mu=1.1, r=0.9)
@@ -308,6 +364,21 @@ class TestIncrementBounds:
         vals = (x[:, 1] - x[:, 0]) ** 2 * (x[:, 2] - x[:, 1]) ** 2
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert vals.mean() == pytest.approx(closed, abs=4 * se)
+
+    def test_row_fourth_moment_is_sum_of_scalar_forms(self):
+        spec = onoff.OnOffArraySpec("power_example", mu=1.0, alpha_exp=0.5, b=0.5)
+        n, (u, t, s) = 60, (0.0, 0.5, 1.2)
+        terms = []      # per source: q1, E[d_ut^2], E[d_ts^2], |cross|
+        for src in spec.sources(n):
+            forms = onoff.increment_moment_forms(src, u, t, s)
+            later = onoff.increment_moment_forms(src, t, s, s + 1.0)
+            terms.append((forms["product_sq"][0], forms["increment_sq"][0],
+                          later["increment_sq"][0], forms["cross_abs"][0]))
+        q1, a_ut, a_ts, cross = np.array(terms).T
+        expect = (q1.sum() + a_ut.sum() * a_ts.sum() - (a_ut * a_ts).sum()
+                  + 2.0 * (cross.sum() ** 2 - (cross**2).sum()))
+        assert onoff.row_increment_fourth_moment(spec, n, u, t, s) == pytest.approx(
+            expect, rel=1e-12)
 
 
 class TestPairedExponentIdentity:
