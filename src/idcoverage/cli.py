@@ -7,6 +7,7 @@ A fixed --seed yields byte-identical artifacts whatever --threads is.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -61,18 +62,35 @@ def _guard_out(path, force):
     return path
 
 
+def _replace_into(path, write):
+    """Run ``write(fh)`` on a temp file beside ``path``, then move it into
+    place, so a failed write never leaves a partial artifact at ``path``."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _write_json(path, obj, force):
     _guard_out(path, force)
-    with open(path, "w") as fh:
+
+    def write(fh):
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    _replace_into(path, write)
 
 
 def _write_csv(path, arr, header, force, integer=False):
     _guard_out(path, force)
     arr = np.atleast_2d(arr)
-    np.savetxt(path, arr, delimiter=",", header=header, comments="",
-               fmt="%d" if integer else "%.17g")
+    _replace_into(path, lambda fh: np.savetxt(
+        fh, arr, delimiter=",", header=header, comments="",
+        fmt="%d" if integer else "%.17g"))
 
 
 def _thetas(conf, n):
@@ -147,12 +165,13 @@ def cmd_simulate_coverage(args):
         reps, seed, stream=0, threads=args.threads)
     header = ",".join(f"x{k + 1}" for k in range(len(grid)))
     _write_csv(args.out, samples, header, args.force, integer=marks is None)
-    emp = stats.empirical_cf(samples, thetas)
+    values = np.asarray(samples, dtype=float)
+    emp = stats.empirical_cf(values, thetas)
     analytic = np.exp(np.atleast_1d(model.log_cf(grid, thetas)))
     report = stats.cf_report(emp, stats.cf_distance(emp, analytic))
     report["rho"] = model.rho
-    report["epoch_means"] = np.asarray(samples, dtype=float).mean(axis=0).tolist()
-    report["epoch_variances"] = np.asarray(samples, dtype=float).var(axis=0, ddof=1).tolist()
+    report["epoch_means"] = values.mean(axis=0).tolist()
+    report["epoch_variances"] = values.var(axis=0, ddof=1).tolist()
     _write_json(report_path, report, args.force)
     return 0
 

@@ -1,6 +1,6 @@
 """Empirical characteristic functions, covariances, and CF distances.
 
-All reductions run in a fixed deterministic order (numpy pairwise sums over
+All reductions run in a fixed deterministic order (count-weighted sums over
 contiguous chunks processed sequentially), so estimates are reproducible to
 the bit for a given sample matrix regardless of how the samples themselves
 were produced.
@@ -30,12 +30,39 @@ def theta_product_grid(per_coordinate):
     return np.array(rows, dtype=float)
 
 
+def _distinct_rows(samples):
+    """(rows, counts): the distinct rows of an integer-valued sample with their
+    multiplicities, else every row with count 1.
+
+    Rows collapse through a one-dimensional mixed-radix int64 key, so the
+    sample must be finite, integer-valued and small enough that the key
+    stays below 2**62.  The distinct rows come out in key order.
+    """
+    every = samples, np.ones(samples.shape[0])
+    # NaN and inf fail the magnitude test
+    if not (np.all(np.abs(samples) < 2.0**62) and np.array_equal(samples, np.rint(samples))):
+        return every
+    ints = samples.astype(np.int64)
+    lo = ints.min(axis=0)
+    radix = ints.max(axis=0) - lo + 1
+    if np.prod(radix.astype(float)) >= 2.0**62:
+        return every
+    strides = np.cumprod(radix[::-1])[::-1] // radix
+    key = (ints - lo) @ strides
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return samples[first], counts.astype(float)
+
+
 def empirical_cf(samples, thetas):
     """Mean of exp(i theta . row) over sample rows, with component stderrs.
 
     The standard error reported per point is the larger of the real and
     imaginary component standard errors (conservative, and never above
-    2/sqrt(N) since both components live in [-1, 1]).
+    2/sqrt(N) since both components live in [-1, 1]).  Repeated rows of an
+    integer-valued sample are evaluated once and weighted by their counts
+    (Feuerverger & Mureika 1977).  The variances come from centred sums of
+    squares per chunk, merged by the pairwise update of Chan, Golub &
+    LeVeque (1983), so they do not cancel when the sample is nearly constant.
     """
     samples = np.atleast_1d(np.asarray(samples, dtype=float))
     if samples.ndim == 1:
@@ -48,23 +75,28 @@ def empirical_cf(samples, thetas):
         raise PreconditionError("need at least one sample row")
     if thetas.shape[1] != samples.shape[1]:
         raise PreconditionError("theta dimension must match sample columns")
-    sum_c = np.zeros(m)
-    sum_s = np.zeros(m)
-    sum_c2 = np.zeros(m)
-    sum_s2 = np.zeros(m)
+    rows, counts = _distinct_rows(samples)
+    sums = np.zeros((2, m))   # weighted sums of cos and sin
+    m2 = np.zeros((2, m))     # their centred sums of squares
+    seen = 0.0
     chunk = max(1, _CHUNK_ELEMENTS // max(m, 1))
-    for lo in range(0, n, chunk):
-        inner = samples[lo : lo + chunk] @ thetas.T
-        c = np.cos(inner)
-        s = np.sin(inner)
-        sum_c += c.sum(axis=0)
-        sum_s += s.sum(axis=0)
-        sum_c2 += (c * c).sum(axis=0)
-        sum_s2 += (s * s).sum(axis=0)
-    est = (sum_c + 1j * sum_s) / n
+    for lo in range(0, rows.shape[0], chunk):
+        w = counts[lo : lo + chunk]
+        weight = w.sum()
+        inner = rows[lo : lo + chunk] @ thetas.T
+        # cos reads inner before sin overwrites it
+        for k, v in enumerate((np.cos(inner), np.sin(inner, out=inner))):
+            part = w @ v
+            mean = part / weight
+            delta = mean - sums[k] / seen if seen else 0.0
+            v -= mean
+            v *= v
+            m2[k] += w @ v + delta**2 * (seen * weight / (seen + weight))
+            sums[k] += part
+        seen += weight
+    est = (sums[0] + 1j * sums[1]) / n
     if n > 1:
-        var_c = np.maximum(sum_c2 - sum_c**2 / n, 0.0) / (n - 1)
-        var_s = np.maximum(sum_s2 - sum_s**2 / n, 0.0) / (n - 1)
+        var_c, var_s = m2 / (n - 1)
         stderr = np.sqrt(np.maximum(var_c, var_s) / n)
     else:
         stderr = np.zeros(m)

@@ -6,6 +6,7 @@ precedence rules are all checked against real files under tmp_path.
 
 import filecmp
 import json
+import os
 
 import numpy as np
 import pytest
@@ -191,6 +192,29 @@ class TestSample:
         assert cli.main(["sample", "--config", conf0, "--out", c]) == 0
         assert filecmp.cmp(a, b, shallow=False)
         assert not filecmp.cmp(a, c, shallow=False)
+
+    def test_failed_csv_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def half_write(target, arr, **kwargs):
+            fh = open(target, "w") if isinstance(target, str) else target
+            fh.write("x1,x2\n")
+            fh.flush()
+            raise OSError("disk full")
+        monkeypatch.setattr(np, "savetxt", half_write)
+        conf = write_config(tmp_path, "c.json", dict(SAMPLE_CONF, reps=20))
+        with pytest.raises(OSError, match="disk full"):
+            cli.main(["sample", "--config", conf, "--out", str(tmp_path / "draws.csv")])
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    def test_failed_json_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def half_dump(obj, fh, **kwargs):
+            fh.write("[")
+            fh.flush()
+            raise OSError("disk full")
+        monkeypatch.setattr(json, "dump", half_dump)
+        path = str(tmp_path / "cf.json")
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_json(path, [1.0], force=False)
+        assert os.listdir(tmp_path) == []
 
     def test_missing_reps_is_usage_error(self, tmp_path, capsys):
         conf = write_config(tmp_path, "c.json",

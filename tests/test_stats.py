@@ -2,15 +2,40 @@
 
 Tiny samples are checked against hand-computed complex means; the chunked
 accumulation path is forced with a small chunk size and must reproduce the
-unchunked result exactly.
+unchunked result exactly.  Row collapsing is checked against a dense loop
+over every row, kept here as the reference.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idcoverage import stats
+from idcoverage import corr, mginf, stats
 from idcoverage.errors import PreconditionError
+from idcoverage.rng import child_rng
+
+
+def _dense_cf(samples, thetas):
+    """(estimates, stderr) from one chunk of every row, with one-pass
+    variances: the estimator as it was before rows were collapsed."""
+    samples = np.asarray(samples, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    n = samples.shape[0]
+    inner = samples @ thetas.T
+    c = np.cos(inner)
+    s = np.sin(inner)
+    sum_c, sum_s = c.sum(axis=0), s.sum(axis=0)
+    var_c = np.maximum((c * c).sum(axis=0) - sum_c**2 / n, 0.0) / (n - 1)
+    var_s = np.maximum((s * s).sum(axis=0) - sum_s**2 / n, 0.0) / (n - 1)
+    return (sum_c + 1j * sum_s) / n, np.sqrt(np.maximum(var_c, var_s) / n)
+
+
+def _mm_inf_counts(n):
+    model = mginf.MGInfinityModel(2.0, corr.ServiceDistribution.exponential(1.0))
+    return model.simulate(corr.TimeGrid([0.0, 0.5, 1.0, 2.0]), child_rng(41), size=n)
+
+
+_GRID4 = stats.theta_product_grid([[-2.0, 0.5, 1.0]] * 4)
 
 
 class TestThetaProductGrid:
@@ -106,6 +131,71 @@ class TestEmpiricalCF:
             stats._CHUNK_ELEMENTS = old
         np.testing.assert_allclose(
             pieces.estimates, whole.estimates, rtol=0, atol=5e-15)
+
+
+class TestDistinctRows:
+    """Collapsed integer-valued rows give the dense loop's answers."""
+
+    def assert_matches_dense(self, samples, thetas, stderr=True):
+        emp = stats.empirical_cf(samples, thetas)
+        est, se = _dense_cf(samples, thetas)
+        np.testing.assert_allclose(emp.estimates, est, rtol=0, atol=1e-13)
+        if stderr:
+            np.testing.assert_allclose(emp.stderr, se, rtol=0, atol=1e-15)
+        return emp
+
+    def test_mm_inf_counts(self):
+        counts = _mm_inf_counts(5000)
+        assert counts.dtype.kind == "i"
+        rows, weights = stats._distinct_rows(counts.astype(float))
+        assert rows.shape[0] < counts.shape[0] // 4
+        assert weights.sum() == counts.shape[0]
+        self.assert_matches_dense(counts, _GRID4)
+
+    def test_poisson_differences(self):
+        rng = np.random.default_rng(17)
+        x = (rng.poisson(3.0, (4000, 3)) - rng.poisson(3.0, (4000, 3))).astype(float)
+        assert x.min() < 0
+        self.assert_matches_dense(x, stats.theta_product_grid([[-1.0, 0.3, 2.0]] * 3))
+
+    def test_constant_sample(self):
+        x = np.tile([3.0, -1.0], (1000, 1))
+        grid = stats.theta_product_grid([[-2.0, 0.5, 1.0]] * 2)
+        emp = self.assert_matches_dense(x, grid, stderr=False)
+        # the dense loop's one-pass variance leaves ~6e-9 here; the true value is 0
+        np.testing.assert_allclose(emp.stderr, 0.0, rtol=0, atol=1e-15)
+
+    def test_key_overflow_falls_back(self):
+        # four columns spanning 2**21 each: the mixed-radix key would reach
+        # ~2**84, and rows 0 and 1 differ in key by exactly 2**64
+        top = 2.0**21
+        x = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2097147.0, 5.0, 2097151.0],
+                      [top, top, top, top]])
+        rows, weights = stats._distinct_rows(x)
+        np.testing.assert_array_equal(rows, x)
+        np.testing.assert_array_equal(weights, 1.0)
+        self.assert_matches_dense(x, stats.theta_product_grid([[-1e-3, 2e-6]] * 4))
+
+    def test_nan_row_stays_nan(self):
+        x = _mm_inf_counts(500).astype(float)
+        x[7, 2] = np.nan
+        emp = self.assert_matches_dense(x, _GRID4)
+        assert np.isnan(emp.estimates).all()
+
+    def test_chunked_collapsed_rows_match_unchunked(self, monkeypatch):
+        counts = _mm_inf_counts(3000)
+        whole = stats.empirical_cf(counts, _GRID4)
+        monkeypatch.setattr(stats, "_CHUNK_ELEMENTS", 4 * _GRID4.shape[0])
+        pieces = stats.empirical_cf(counts, _GRID4)
+        np.testing.assert_allclose(pieces.estimates, whole.estimates, rtol=0, atol=5e-15)
+        np.testing.assert_allclose(pieces.stderr, whole.stderr, rtol=0, atol=5e-15)
+
+    def test_near_constant_stderr_matches_two_pass(self):
+        x = 0.3 + 1e-9 * np.random.default_rng(19).normal(size=10_000)
+        emp = stats.empirical_cf(x, [[2.0]])
+        c, s = np.cos(2.0 * x), np.sin(2.0 * x)
+        want = np.sqrt(max(np.var(c, ddof=1), np.var(s, ddof=1)) / x.size)
+        assert emp.stderr[0] == pytest.approx(want, rel=1e-6)
 
 
 class TestEmpiricalCov:
