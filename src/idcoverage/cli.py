@@ -136,6 +136,7 @@ def cmd_sample(args):
     grid = cfg.grid_from_config(conf.get("grid"), "grid")
     reps = int(_resolve(args, conf, "reps", required=True))
     seed = int(_resolve(args, conf, "seed", 0))
+    _guard_out(args.out, args.force)  # refuse before sampling, not after
     proc = fidi.CoverageProcess(law, structure)
     samples = rngmod.run_batched(
         lambda rng, count: proc.sample(grid, rng, size=count),
@@ -185,6 +186,7 @@ def cmd_simulate_onoff(args):
     n = int(conf["n"])
     reps = int(_resolve(args, conf, "reps", required=True))
     seed = int(_resolve(args, conf, "seed", 0))
+    _guard_out(args.out, args.force)  # refuse before sampling, not after
     samples = rngmod.run_batched(
         lambda rng, count: onoff.superpose(spec, n, grid, rng, reps=count),
         reps, seed, stream=0, batch=onoff.row_batch(n), threads=args.threads)

@@ -1,8 +1,12 @@
 """JSON run configurations -> domain objects.
 
-Every builder takes the parsed JSON fragment plus a dotted path used in
-error messages, so a bad field is reported by its location in the file.
+A family maps each ``kind`` to its public constructor, whose signature
+declares the kind's fields: a parameter without a default is required, one
+named after a family is built from a nested object, and other fields are
+refused.  Errors name the field by its dotted path in the file.
 """
+
+import inspect
 
 import numpy as np
 
@@ -11,23 +15,6 @@ from . import corr, levy, onoff, stats
 
 class ConfigError(ValueError):
     """A configuration field is missing or invalid."""
-
-
-def _kind(d, path, allowed):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(d).__name__}")
-    kind = d.get("kind")
-    if kind not in allowed:
-        raise ConfigError(f"{path}.kind: expected one of {sorted(allowed)}, got {kind!r}")
-    return kind
-
-
-def _get(d, field, path, default=None, required=False):
-    if field not in d:
-        if required:
-            raise ConfigError(f"{path}.{field}: required field is missing")
-        return default
-    return d[field]
 
 
 def _wrap(path, builder, *args, **kwargs):
@@ -39,102 +26,103 @@ def _wrap(path, builder, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+_KINDS = {
+    "law": {"gaussian": levy.gaussian, "poisson": levy.poisson,
+            "compound_poisson": levy.compound_poisson, "gamma": levy.gamma_law,
+            "spectrally_positive": levy.spectrally_positive},
+    "mark": {"point_mass": levy.MarkDistribution.point_mass,
+             "discrete": levy.MarkDistribution.discrete,
+             "normal": levy.MarkDistribution.normal},
+    "measure": {"atomic": levy.LevyMeasure.atomic, "reciprocal": levy.reciprocal_measure},
+    "service": {"exponential": corr.ServiceDistribution.exponential,
+                "deterministic": corr.ServiceDistribution.deterministic,
+                "pareto_truncated": corr.ServiceDistribution.pareto_truncated,
+                "discrete": corr.ServiceDistribution.discrete},
+    "structure": {"exponential": corr.exponential_structure, "power": corr.power_structure,
+                  "integrated_tail": corr.integrated_tail_structure,
+                  "mixture": corr.mixture_structure},
+    "array": {"power_example": lambda mu, alpha, b: onoff.OnOffArraySpec(
+                  "power_example", mu, alpha_exp=alpha, b=b),
+              "explicit": lambda mu, rows: onoff.OnOffArraySpec("explicit", mu, rows=rows)},
+}
+
+# defaults the config grants where the constructor has none
+_DEFAULTS = {levy.gaussian: {"beta": 0.0}, levy.MarkDistribution.normal: {"mean": 0.0}}
+
+
+def _components(comps, path):
+    if not isinstance(comps, list) or not comps:
+        raise ConfigError(f"{path}: expected a nonempty list")
+    for i, comp in enumerate(comps):
+        for field in ("weight", "structure"):
+            if field not in comp:
+                raise ConfigError(f"{path}[{i}].{field}: required field is missing")
+    return [(c["weight"], _build("structure", c["structure"], f"{path}[{i}].structure"))
+            for i, c in enumerate(comps)]
+
+
+def _rows(rows, path):
+    if not isinstance(rows, dict):
+        raise ConfigError(f"{path}: expected an object keyed by row size")
+    try:
+        return {int(k): [tuple(p) for p in v] for k, v in rows.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+_ADAPTERS = {"components": _components, "rows": _rows}
+
+
+def _build(family, d, path):
+    """The object that ``d`` describes, built by its kind's constructor."""
+    kinds = _KINDS[family]
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(d).__name__}")
+    kind = d.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind: expected one of {sorted(kinds)}, got {kind!r}")
+    make = kinds[kind]
+    params = inspect.signature(make).parameters
+    for field in d:
+        if field != "kind" and field not in params:
+            raise ConfigError(f"{path}.{field}: unknown field")
+    kwargs = dict(_DEFAULTS.get(make, {}))
+    for name, param in params.items():
+        at = f"{path}.{name}"
+        if name in d:
+            value = d[name]
+            if name in _KINDS:
+                value = _build(name, value, at)
+            elif name in _ADAPTERS:
+                value = _ADAPTERS[name](value, at)
+            kwargs[name] = value
+        elif name not in kwargs and param.default is param.empty:
+            raise ConfigError(f"{at}: required field is missing")
+    return _wrap(path, make, **kwargs)
+
+
 def mark_from_config(d, path="marks"):
-    kind = _kind(d, path, {"point_mass", "discrete", "normal"})
-    if kind == "point_mass":
-        return _wrap(path, levy.MarkDistribution, "point_mass",
-                     value=_get(d, "value", path, required=True))
-    if kind == "discrete":
-        return _wrap(path, levy.MarkDistribution, "discrete",
-                     values=_get(d, "values", path, required=True),
-                     probs=_get(d, "probs", path, required=True))
-    return _wrap(path, levy.MarkDistribution, "normal",
-                 mean=_get(d, "mean", path, 0.0),
-                 variance=_get(d, "variance", path, required=True))
+    return _build("mark", d, path)
 
 
 def measure_from_config(d, path="measure"):
-    kind = _kind(d, path, {"atomic", "reciprocal"})
-    if kind == "atomic":
-        return _wrap(path, levy.LevyMeasure, "atomic",
-                     locations=_get(d, "locations", path, required=True),
-                     masses=_get(d, "masses", path, required=True))
-    return _wrap(path, levy.reciprocal_measure, _get(d, "b", path, required=True))
+    return _build("measure", d, path)
 
 
 def law_from_config(d, path="law"):
-    kind = _kind(d, path, {"gaussian", "poisson", "compound_poisson", "gamma",
-                           "spectrally_positive"})
-    if kind == "gaussian":
-        return _wrap(path, levy.gaussian, _get(d, "beta", path, 0.0),
-                     _get(d, "sigma2", path, required=True))
-    if kind == "poisson":
-        return _wrap(path, levy.poisson, _get(d, "rate", path, required=True))
-    if kind == "compound_poisson":
-        mark = mark_from_config(_get(d, "mark", path, required=True), f"{path}.mark")
-        return _wrap(path, levy.compound_poisson,
-                     _get(d, "rate", path, required=True), mark)
-    if kind == "gamma":
-        return levy.gamma_law()
-    measure = measure_from_config(_get(d, "measure", path, required=True), f"{path}.measure")
-    return _wrap(path, levy.spectrally_positive, measure,
-                 trunc_eps=_get(d, "trunc_eps", path, 1e-6))
+    return _build("law", d, path)
 
 
 def service_from_config(d, path="service"):
-    kind = _kind(d, path, {"exponential", "deterministic", "pareto_truncated", "discrete"})
-    if kind == "exponential":
-        return _wrap(path, corr.ServiceDistribution, "exponential",
-                     rate=_get(d, "rate", path, required=True))
-    if kind == "deterministic":
-        return _wrap(path, corr.ServiceDistribution, "deterministic",
-                     value=_get(d, "value", path, required=True))
-    if kind == "pareto_truncated":
-        return _wrap(path, corr.ServiceDistribution, "pareto_truncated",
-                     shape=_get(d, "shape", path, required=True),
-                     scale=_get(d, "scale", path, required=True))
-    return _wrap(path, corr.ServiceDistribution, "discrete",
-                 values=_get(d, "values", path, required=True),
-                 probs=_get(d, "probs", path, required=True))
+    return _build("service", d, path)
 
 
 def structure_from_config(d, path="structure"):
-    kind = _kind(d, path, {"exponential", "power", "integrated_tail", "mixture"})
-    if kind == "exponential":
-        return _wrap(path, corr.exponential_structure, _get(d, "mu", path, required=True))
-    if kind == "power":
-        return _wrap(path, corr.power_structure, _get(d, "alpha", path, required=True))
-    if kind == "integrated_tail":
-        svc = service_from_config(_get(d, "service", path, required=True), f"{path}.service")
-        return corr.integrated_tail_structure(svc)
-    comps = _get(d, "components", path, required=True)
-    if not isinstance(comps, list) or not comps:
-        raise ConfigError(f"{path}.components: expected a nonempty list")
-    built = []
-    for i, comp in enumerate(comps):
-        w = _get(comp, "weight", f"{path}.components[{i}]", required=True)
-        sub = structure_from_config(
-            _get(comp, "structure", f"{path}.components[{i}]", required=True),
-            f"{path}.components[{i}].structure")
-        built.append((w, sub))
-    return _wrap(path, corr.mixture_structure, built)
+    return _build("structure", d, path)
 
 
 def array_from_config(d, path="array"):
-    kind = _kind(d, path, {"power_example", "explicit"})
-    mu = _get(d, "mu", path, required=True)
-    if kind == "power_example":
-        return _wrap(path, onoff.OnOffArraySpec, "power_example", mu,
-                     alpha_exp=_get(d, "alpha", path, required=True),
-                     b=_get(d, "b", path, required=True))
-    rows = _get(d, "rows", path, required=True)
-    if not isinstance(rows, dict):
-        raise ConfigError(f"{path}.rows: expected an object keyed by row size")
-    try:
-        rows = {int(k): [tuple(p) for p in v] for k, v in rows.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.rows: {exc}") from exc
-    return _wrap(path, onoff.OnOffArraySpec, "explicit", mu, rows=rows)
+    return _build("array", d, path)
 
 
 def grid_from_config(seq, path="grid"):
@@ -159,6 +147,8 @@ def thetas_from_config(d, n, path=""):
         return arr
     if "theta_grid" in d:
         per = d["theta_grid"]
+        if not isinstance(per, list) or not per:
+            raise ConfigError(f"{loc}: expected a nonempty list")
         if isinstance(per[0], (int, float)):
             per = [per] * n
         if len(per) != n:

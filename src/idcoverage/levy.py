@@ -5,8 +5,9 @@ characteristic function of the time-1 increment, normalized so psi(0) = 0.
 Supported families:
 
 * ``gaussian(beta, sigma2)``      psi(t) = i*beta*t - sigma2*t^2/2
-* ``poisson(rate)``               psi(t) = rate*(e^{it} - 1)
 * ``compound_poisson(rate, mark)`` psi(t) = rate*(chi(t) - 1), chi the mark CF
+* ``poisson(rate)``               the compound Poisson law with unit marks,
+  psi(t) = rate*(e^{it} - 1)
 * ``gamma_law()``                 psi(t) = -log(1 - it), shape/scale 1
 * ``spectrally_positive(measure)`` psi(t) = int (e^{itx} - 1) measure(dx)
   over (0, inf), requiring a finite first moment so no compensator is needed.
@@ -16,6 +17,8 @@ over an interval of length ``t`` exactly (or, for infinite-activity jump
 measures, to a controlled truncation ``eps`` with the dropped mean added back
 deterministically).
 """
+
+import math
 
 import numpy as np
 from scipy import integrate
@@ -144,7 +147,7 @@ class MarkDistribution:
     """Jump-size law for compound Poisson laws and marked coverage models."""
 
     def __init__(self, kind, *, value=None, values=None, probs=None,
-                 mean=None, variance=None):
+                 mean=0.0, variance=None):
         if kind == "point_mass":
             if value is None:
                 raise PreconditionError("point_mass needs a value")
@@ -229,15 +232,13 @@ class LevyExponent:
 
     def __init__(self, kind, *, beta=0.0, sigma2=0.0, rate=None, mark=None,
                  measure=None, trunc_eps=1e-6):
+        if kind == "poisson":  # the unit-mark compound Poisson law
+            kind, mark = "compound_poisson", MarkDistribution.point_mass(1.0)
         self.kind = kind
         if kind == "gaussian":
             if sigma2 < 0:
                 raise PreconditionError("sigma2 must be nonnegative")
             self.beta, self.sigma2 = float(beta), float(sigma2)
-        elif kind == "poisson":
-            if rate is None or rate < 0:
-                raise PreconditionError("poisson needs rate >= 0")
-            self.rate = float(rate)
         elif kind == "compound_poisson":
             if rate is None or rate < 0 or mark is None:
                 raise PreconditionError("compound_poisson needs rate >= 0 and a mark law")
@@ -270,8 +271,6 @@ class LevyExponent:
         th = np.atleast_1d(theta)
         if self.kind == "gaussian":
             out = 1j * self.beta * th - 0.5 * self.sigma2 * th**2
-        elif self.kind == "poisson":
-            out = self.rate * (np.exp(1j * th) - 1.0)
         elif self.kind == "compound_poisson":
             out = self.rate * (np.atleast_1d(self.mark.cf(th)) - 1.0)
         elif self.kind == "gamma":
@@ -285,39 +284,25 @@ class LevyExponent:
 
     # ---- cumulants ---------------------------------------------------
 
-    def mean(self):
+    def _cumulant(self, k):
+        """The k-th cumulant (-i)^k psi^(k)(0), k = 1..4."""
         if self.kind == "gaussian":
-            return self.beta
-        if self.kind == "poisson":
-            return self.rate
+            return (self.beta, self.sigma2)[k - 1] if k <= 2 else 0.0
         if self.kind == "compound_poisson":
-            return self.rate * self.mark.moment(1)
+            return self.rate * self.mark.moment(k)
         if self.kind == "gamma":
-            return 1.0
-        return self._m1
+            return float(math.factorial(k - 1))
+        return self._m1 if k == 1 else self.measure.moment(k)
+
+    def mean(self):
+        return self._cumulant(1)
 
     def variance(self):
-        if self.kind == "gaussian":
-            return self.sigma2
-        if self.kind == "poisson":
-            return self.rate
-        if self.kind == "compound_poisson":
-            return self.rate * self.mark.moment(2)
-        if self.kind == "gamma":
-            return 1.0
-        return self.measure.moment(2)
+        return self._cumulant(2)
 
     def fourth_cumulant(self):
         """psi''''(0); zero for Gaussian laws, int x^4 nu(dx) for jump laws."""
-        if self.kind == "gaussian":
-            return 0.0
-        if self.kind == "poisson":
-            return self.rate
-        if self.kind == "compound_poisson":
-            return self.rate * self.mark.moment(4)
-        if self.kind == "gamma":
-            return 6.0
-        return self.measure.moment(4)
+        return self._cumulant(4)
 
     # ---- sampling ----------------------------------------------------
 
@@ -366,8 +351,6 @@ class LevyExponent:
 
         if self.kind == "gaussian":
             out = rng.normal(self.beta * t, np.sqrt(self.sigma2 * t), size=shape)
-        elif self.kind == "poisson":
-            out = rng.poisson(self.rate * t, size=shape).astype(float)
         elif self.kind == "compound_poisson":
             counts = rng.poisson(self.rate * t, size=shape)
             out = np.asarray(self.mark.sample_sum(counts, rng), dtype=float)
@@ -399,7 +382,7 @@ def gaussian(beta, sigma2):
 
 
 def poisson(rate):
-    return LevyExponent("poisson", rate=rate)
+    return compound_poisson(rate, MarkDistribution.point_mass(1.0))
 
 
 def compound_poisson(rate, mark):

@@ -38,15 +38,13 @@ def _random_structure(rng):
         return corr.power_structure(rng.uniform(0.2, 1.0))
     if pick == 2:
         return corr.integrated_tail_structure(
-            corr.ServiceDistribution("exponential", rate=rng.uniform(0.3, 3.0)))
+            corr.ServiceDistribution.exponential(rng.uniform(0.3, 3.0)))
     if pick == 3:
         return corr.integrated_tail_structure(
-            corr.ServiceDistribution("deterministic", value=rng.uniform(0.5, 3.0)))
+            corr.ServiceDistribution.deterministic(rng.uniform(0.5, 3.0)))
     if pick == 4:
-        return corr.integrated_tail_structure(
-            corr.ServiceDistribution("pareto_truncated",
-                                     shape=rng.uniform(2.1, 4.0),
-                                     scale=rng.uniform(0.3, 1.5)))
+        return corr.integrated_tail_structure(corr.ServiceDistribution.pareto_truncated(
+            rng.uniform(2.1, 4.0), rng.uniform(0.3, 1.5)))
     w = rng.uniform(0.2, 0.8)
     return corr.mixture_structure([
         (w, corr.exponential_structure(rng.uniform(0.2, 3.0))),
@@ -61,14 +59,12 @@ def _random_law(rng):
     if pick == 1:
         return levy.poisson(rng.uniform(0.5, 3.0))
     if pick == 2:
-        mark = levy.MarkDistribution("discrete", values=[1.0, 2.0, -0.5],
-                                     probs=[0.5, 0.3, 0.2])
+        mark = levy.MarkDistribution.discrete([1.0, 2.0, -0.5], [0.5, 0.3, 0.2])
         return levy.compound_poisson(rng.uniform(0.5, 2.0), mark)
     if pick == 3:
         return levy.gamma_law()
-    measure = levy.LevyMeasure("atomic",
-                               locations=rng.uniform(0.2, 2.0, size=3),
-                               masses=rng.uniform(0.2, 1.0, size=3))
+    measure = levy.LevyMeasure.atomic(rng.uniform(0.2, 2.0, size=3),
+                                      rng.uniform(0.2, 1.0, size=3))
     return levy.spectrally_positive(measure)
 
 

@@ -7,6 +7,8 @@ precedence rules are all checked against real files under tmp_path.
 import filecmp
 import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +58,25 @@ class TestLawFromConfig:
     def test_domain_error_carries_path(self):
         with pytest.raises(cfg.ConfigError, match="law"):
             cfg.law_from_config({"kind": "poisson", "rate": -1.0})
+
+    def test_unknown_field_refused(self):
+        with pytest.raises(cfg.ConfigError, match=r"law\.trunc_esp: unknown field"):
+            cfg.law_from_config({"kind": "spectrally_positive",
+                                 "measure": {"kind": "reciprocal", "b": 0.5},
+                                 "trunc_esp": 1e-3})
+        with pytest.raises(cfg.ConfigError, match=r"law\.mark\.mean: unknown field"):
+            cfg.law_from_config({"kind": "compound_poisson", "rate": 1.0,
+                                 "mark": {"kind": "point_mass", "value": 1.0, "mean": 2.0}})
+        with pytest.raises(cfg.ConfigError, match=r"law\.sigma2: unknown field"):
+            cfg.law_from_config({"kind": "gamma", "sigma2": 1.0})
+
+    def test_trunc_eps_and_normal_mark_default(self):
+        law = cfg.law_from_config({"kind": "spectrally_positive",
+                                   "measure": {"kind": "reciprocal", "b": 0.5},
+                                   "trunc_eps": 1e-3})
+        assert law.truncation_info()["eps"] == 1e-3
+        mark = cfg.mark_from_config({"kind": "normal", "variance": 4.0})
+        assert mark.moment(1) == 0.0
 
 
 class TestOtherBuilders:
@@ -108,6 +129,34 @@ class TestOtherBuilders:
         assert arr.shape == (8, 3)
         with pytest.raises(cfg.ConfigError, match="length 2"):
             cfg.thetas_from_config({"thetas": [[1.0, 2.0, 3.0]]}, 2)
+
+    @pytest.mark.parametrize("bad", [[], 1.0, "ab"])
+    def test_malformed_theta_grid_names_field(self, bad):
+        with pytest.raises(cfg.ConfigError, match="theta_grid"):
+            cfg.thetas_from_config({"theta_grid": bad}, 2)
+
+    @pytest.mark.parametrize("rows", [[[0.1, 1.0]], {"2": 5}, {"x": [[0.1, 1.0]]}])
+    def test_malformed_rows_raise_config_error(self, rows):
+        with pytest.raises(cfg.ConfigError, match=r"array\.rows"):
+            cfg.array_from_config({"kind": "explicit", "mu": 1.0, "rows": rows})
+
+
+def _readme_json_blocks():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [json.loads(b) for b in re.findall(r"```json\n(.*?)```", text, re.S)]
+
+
+@pytest.mark.parametrize("conf", _readme_json_blocks())
+def test_readme_json_blocks_build(conf):
+    builders = {"law": cfg.law_from_config, "structure": cfg.structure_from_config,
+                "service": cfg.service_from_config, "marks": cfg.mark_from_config,
+                "measure": cfg.measure_from_config, "array": cfg.array_from_config}
+    built = [builders[key](conf[key], key) for key in builders if key in conf]
+    if "grid" in conf:
+        built.append(cfg.grid_from_config(conf["grid"]))
+        if "thetas" in conf or "theta_grid" in conf:
+            built.append(cfg.thetas_from_config(conf, len(conf["grid"])))
+    assert built
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -162,6 +211,28 @@ class TestCfEval:
         assert cli.main(["cf-eval"]) == 2
         assert "config" in capsys.readouterr().err
 
+    def test_empty_theta_grid_exit_code(self, tmp_path, capsys):
+        conf = write_config(tmp_path, "c.json", {
+            "law": {"kind": "gamma"},
+            "structure": {"kind": "power", "alpha": 0.5},
+            "grid": [0.0, 1.0],
+            "theta_grid": [],
+        })
+        assert cli.main(["cf-eval", "--config", conf]) == 2
+        assert "theta_grid" in capsys.readouterr().err
+
+
+def _refuses_before_sampling(monkeypatch, capsys, command, conf, out):
+    """An existing --out without --force exits 2 without running the sampler
+    and leaves the file as it was."""
+    calls = []
+    monkeypatch.setattr(rngmod, "run_batched", lambda *a, **k: calls.append(a))
+    out.write_text("keep me\n")
+    assert cli.main([command, "--config", conf, "--out", str(out)]) == 2
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert calls == []
+    assert out.read_text() == "keep me\n"
+
 
 class TestSample:
     def test_writes_csv_with_header(self, tmp_path):
@@ -215,6 +286,10 @@ class TestSample:
         with pytest.raises(OSError, match="disk full"):
             cli._write_json(path, [1.0], force=False)
         assert os.listdir(tmp_path) == []
+
+    def test_existing_out_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
+        conf = write_config(tmp_path, "c.json", SAMPLE_CONF)
+        _refuses_before_sampling(monkeypatch, capsys, "sample", conf, tmp_path / "draws.csv")
 
     def test_missing_reps_is_usage_error(self, tmp_path, capsys):
         conf = write_config(tmp_path, "c.json",
@@ -318,6 +393,11 @@ class TestSimulateOnoff:
         lines = open(out).read().splitlines()
         assert lines[0] == "x1,x2"
         assert len(lines) == 201
+
+    def test_existing_out_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
+        conf = write_config(tmp_path, "c.json", self.CONF)
+        _refuses_before_sampling(monkeypatch, capsys, "simulate-onoff", conf,
+                                 tmp_path / "rows.csv")
 
     def test_thread_count_never_changes_bytes(self, tmp_path, monkeypatch):
         # shrink the batch so several batches actually run concurrently

@@ -73,6 +73,50 @@ def test_poisson_exponent_and_cumulants():
     assert law.mean() == law.variance() == law.fourth_cumulant() == 3.25
 
 
+class TestPoissonIsUnitMarkCompoundPoisson:
+    """levy.poisson(r) against test-local copies of the Poisson formulas it
+    had as a kind of its own; the unit point mass draws nothing, so the
+    random stream and every value must match exactly."""
+
+    @staticmethod
+    def reference_eval(rate, theta):
+        theta = np.asarray(theta, dtype=float)
+        out = (rate * (np.exp(1j * np.atleast_1d(theta)) - 1.0)).astype(complex)
+        return complex(out[0]) if theta.ndim == 0 else out.reshape(theta.shape)
+
+    @staticmethod
+    def reference_increment(rate, t, rng, size=None):
+        shape = () if size is None else size
+        if t == 0:
+            out = np.zeros(shape)
+            return float(out) if size is None else out
+        out = rng.poisson(rate * t, size=shape).astype(float)
+        return float(np.asarray(out)) if size is None else out
+
+    @pytest.mark.parametrize("rate", [0.0, 0.7, 2.5])
+    def test_bit_identical(self, rate):
+        for law in (levy.poisson(rate), levy.LevyExponent("poisson", rate=rate)):
+            assert law.kind == "compound_poisson"
+            theta = np.linspace(-50.0, 50.0, 100_001)
+            assert np.array_equal(law.eval(theta), self.reference_eval(rate, theta))
+            assert law.eval(1.3) == self.reference_eval(rate, 1.3)
+            assert (law.mean(), law.variance(), law.fourth_cumulant()) == (rate,) * 3
+            for t in (0.8, 0.0):
+                for size in (None, (5000,), (3, 7)):
+                    got_rng, ref_rng = child_rng(11), child_rng(11)
+                    got = law.sample_increment(t, got_rng, size=size)
+                    ref = self.reference_increment(rate, t, ref_rng, size=size)
+                    assert type(got) is type(ref)
+                    assert np.array_equal(got, ref)
+                    assert got_rng.uniform() == ref_rng.uniform()
+
+
+def test_normal_mark_mean_defaults_to_zero():
+    mark = levy.MarkDistribution("normal", variance=4.0)
+    assert mark.moment(1) == 0.0
+    assert mark.cf(0.5) == pytest.approx(np.exp(-0.5))
+
+
 def test_compound_poisson_matches_manual_sum():
     mark = levy.MarkDistribution.discrete([1.0, 3.0, -0.5], [0.5, 0.2, 0.3])
     law = levy.compound_poisson(2.0, mark)
