@@ -22,7 +22,7 @@ def _wrap(path, builder, *args, **kwargs):
         return builder(*args, **kwargs)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -54,6 +54,8 @@ def _components(comps, path):
     if not isinstance(comps, list) or not comps:
         raise ConfigError(f"{path}: expected a nonempty list")
     for i, comp in enumerate(comps):
+        if not isinstance(comp, dict):
+            raise ConfigError(f"{path}[{i}]: expected an object")
         for field in ("weight", "structure"):
             if field not in comp:
                 raise ConfigError(f"{path}[{i}].{field}: required field is missing")

@@ -104,19 +104,6 @@ class ServiceDistribution:
             out = np.minimum.outer(t, self.values) @ self.probs / m
         return out if out.ndim else float(out)
 
-    def quantile(self, q):
-        if not 0.0 <= q < 1.0:
-            raise PreconditionError("quantile level must be in [0, 1)")
-        if self.kind == "exponential":
-            return -np.log1p(-q) / self.rate
-        if self.kind == "deterministic":
-            return self.value
-        if self.kind == "pareto_truncated":
-            return self.scale * (1.0 - q) ** (-1.0 / self.shape)
-        order = np.argsort(self.values)
-        cum = np.cumsum(self.probs[order])
-        return float(self.values[order][np.searchsorted(cum, q, side="right")])
-
     def sample(self, size, rng):
         if self.kind == "exponential":
             return rng.exponential(1.0 / self.rate, size=size)
@@ -125,6 +112,19 @@ class ServiceDistribution:
         if self.kind == "pareto_truncated":
             return self.scale * (1.0 + rng.pareto(self.shape, size=size))
         return rng.choice(self.values, size=size, p=self.probs)
+
+    def sample_residual(self, size, rng):
+        """Equilibrium residual time, law G_I: U * S* with U uniform(0, 1)
+        and S* the size-biased service time, density s g(s) / mean."""
+        if self.kind == "exponential":
+            biased = rng.gamma(2.0, 1.0 / self.rate, size=size)
+        elif self.kind == "deterministic":
+            biased = self.value
+        elif self.kind == "pareto_truncated":
+            biased = self.scale * (1.0 + rng.pareto(self.shape - 1.0, size=size))
+        else:
+            biased = rng.choice(self.values, size=size, p=self.probs * self.values / self.mean())
+        return rng.uniform(size=size) * biased
 
 
 class CorrelationStructure:

@@ -9,14 +9,16 @@ epochs t_i..t_j is Poisson with mean rho times a four-point combination of
 the integrated service tail, rho = lambda * E[service].  That analytic form
 is computed here directly from G, independently of the generic weight
 machinery, so the two can be used as mutual oracles.
-"""
+
+The event-level sampler is the third oracle, and it is exact: in the
+stationary system Poisson(rho) customers are present at t_1, with i.i.d.
+residual times from the equilibrium law G_I (Eick, Massey & Whitt, Oper.
+Res. 41, 1993), so only they and the arrivals on (t_1, t_n] are drawn."""
 
 import numpy as np
 
 from .corr import block_spans
 from .errors import PreconditionError
-
-_WINDOW_QUANTILE = 1.0 - 1e-9
 
 
 class MGInfinityModel:
@@ -62,46 +64,34 @@ class MGInfinityModel:
         vals = (np.atleast_2d(self.mark_cf(spans)) - 1.0) @ mu[ii, jj]
         return complex(vals[0]) if single else np.asarray(vals)
 
-    def window(self):
-        """Lookback needed so pre-window arrivals are negligible."""
-        w = self.service.quantile(_WINDOW_QUANTILE)
-        if not np.isfinite(w):
-            raise PreconditionError(
-                "service quantile is not finite; pass a heavier truncation "
-                "or a larger explicit window"
-            )
-        return w
+    def simulate(self, grid, rng, size=None):
+        """Exact event-level draw of the stationary occupancy vector.
 
-    def simulate(self, grid, rng, size=None, window=None):
-        """Event-level draw of the occupancy vector.
-
-        Arrivals are laid down on [t_1 - W, t_n] with W the (1 - 1e-9)
-        service quantile; older arrivals would still be active with
-        probability below 1e-9 each.  Returns int64 counts (float64 sums
-        when marked), shape (n,) or (size, n).
+        At t_1, Poisson(rho) customers are in service, each with a residual
+        time from the equilibrium law G_I; on (t_1, t_n] customers arrive
+        as a rate-lambda Poisson process with service times from G.  Marks
+        are drawn last, so point-mass marks leave the stream unchanged.
+        Returns int64 counts (float64 sums when marked), shape (n,) or
+        (size, n).
         """
         t = grid.t
         n = t.size
         reps = 1 if size is None else int(size)
-        w = self.window() if window is None else float(window)
-        start = t[0] - w
-        span = t[-1] - start
-        counts = rng.poisson(self.arrival_rate * span, size=reps)
-        total = int(counts.sum())
-        arrive = start + span * rng.uniform(size=total)
-        depart = arrive + self.service.sample(total, rng)
-        weights = None if self.marks is None else self.marks.sample(total, rng)
-        owner = np.repeat(np.arange(reps), counts)
-        if self.marks is None:
-            out = np.zeros((reps, n), dtype=np.int64)
-        else:
-            out = np.zeros((reps, n), dtype=np.float64)
+        span = t[-1] - t[0]
+        present = rng.poisson(self.rho, size=reps)
+        fresh = rng.poisson(self.arrival_rate * span, size=reps)
+        n0, n1 = int(present.sum()), int(fresh.sum())
+        arrive = np.concatenate([np.full(n0, t[0]), t[-1] - span * rng.uniform(size=n1)])
+        depart = arrive + np.concatenate([self.service.sample_residual(n0, rng),
+                                          self.service.sample(n1, rng)])
+        weights = None if self.marks is None else self.marks.sample(n0 + n1, rng)
+        owner = np.concatenate([np.repeat(np.arange(reps), present),
+                                np.repeat(np.arange(reps), fresh)])
+        out = np.zeros((reps, n), dtype=np.int64 if weights is None else np.float64)
         for k in range(n):
             active = (arrive <= t[k]) & (depart > t[k])
-            if self.marks is None:
-                out[:, k] = np.bincount(owner[active], minlength=reps)
-            else:
-                out[:, k] = np.bincount(owner[active], weights=weights[active], minlength=reps)
+            w = None if weights is None else weights[active]
+            out[:, k] = np.bincount(owner[active], weights=w, minlength=reps)
         return out[0] if size is None else out
 
 
@@ -109,5 +99,5 @@ def joint_cf_analytic(model, grid, theta):
     return model.log_cf(grid, theta)
 
 
-def simulate_counts(model, grid, rng, size=None, window=None):
-    return model.simulate(grid, rng, size=size, window=window)
+def simulate_counts(model, grid, rng, size=None):
+    return model.simulate(grid, rng, size=size)

@@ -207,6 +207,17 @@ class TestCfEval:
         assert cli.main(["cf-eval", "--config", conf]) == 2
         assert "law.kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("conf, path", [
+        ({"law": {"kind": "poisson", "rate": "2"},
+          "structure": {"kind": "exponential", "mu": 1.0}}, "law"),
+        ({"law": {"kind": "poisson", "rate": 1.0},
+          "structure": {"kind": "mixture", "components": [1.0]}}, "structure.components[0]"),
+    ])
+    def test_wrong_json_type_exit_code(self, tmp_path, capsys, conf, path):
+        conf = write_config(tmp_path, "c.json", dict(conf, grid=[0.0], thetas=[[1.0]]))
+        assert cli.main(["cf-eval", "--config", conf]) == 2
+        assert f"{path}: " in capsys.readouterr().err
+
     def test_missing_config(self, capsys):
         assert cli.main(["cf-eval"]) == 2
         assert "config" in capsys.readouterr().err

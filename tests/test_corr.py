@@ -73,18 +73,6 @@ def test_integrated_tail_is_a_cdf_reaching_one():
         assert vals[-1] == pytest.approx(1.0, abs=1e-3)
 
 
-def test_service_quantiles():
-    ex = corr.ServiceDistribution.exponential(2.0)
-    assert ex.quantile(1.0 - np.exp(-2.0)) == pytest.approx(1.0)
-    det = corr.ServiceDistribution.deterministic(3.0)
-    assert det.quantile(0.99) == 3.0
-    disc = corr.ServiceDistribution.discrete([1.0, 3.0], [0.5, 0.5])
-    assert disc.quantile(0.25) == 1.0
-    assert disc.quantile(0.75) == 3.0
-    with pytest.raises(PreconditionError):
-        ex.quantile(1.0)
-
-
 def test_service_sampling_moments():
     n = 100_000
     par = corr.ServiceDistribution.pareto_truncated(3.0, 2.0)

@@ -68,13 +68,15 @@ def test_marked_cf_equals_compound_poisson_process():
     assert model.log_cf(g, theta) == pytest.approx(proc.log_cf(g, theta), abs=1e-12)
 
 
-def test_window_choices():
-    assert mginf.MGInfinityModel(1.0, SERVICES["deterministic"]).window() == \
-        pytest.approx(0.8)
-    w = mginf.MGInfinityModel(1.0, SERVICES["exponential"]).window()
-    # 1 - 1e-9 quantile of Exp(2)
-    assert w == pytest.approx(-np.log(1e-9) / 2.0, rel=1e-6)
-    assert np.isfinite(mginf.MGInfinityModel(1.0, SERVICES["pareto"]).window())
+@pytest.mark.parametrize("name", sorted(SERVICES))
+def test_residual_law_is_integrated_tail(name):
+    service = SERVICES[name]
+    n = 100_000
+    r = np.sort(service.sample_residual(n, child_rng(100)))
+    assert (r >= 0.0).all()
+    probes = np.array([0.1, 0.25, 0.4, 0.6, 1.0, 1.5])
+    emp = np.searchsorted(r, probes, side="right") / n
+    np.testing.assert_allclose(emp, service.integrated_tail(probes), atol=4 / np.sqrt(n))
 
 
 def test_simulator_counts_are_poisson_marginals():
@@ -90,6 +92,17 @@ def test_simulator_counts_are_poisson_marginals():
         # Poisson: Var = rho; Var of the sample variance ~ (2rho^2 + rho)/n
         se_var = np.sqrt((2 * rho * rho + rho) / n)
         assert col.var(ddof=1) == pytest.approx(rho, abs=4 * se_var)
+
+
+def test_pareto_service_epoch_means_match_rho():
+    # heavy-tailed service: the customers present at t_1 carry residuals
+    # from G_I, whose tail is heavier than G's
+    model = mginf.MGInfinityModel(1.0, corr.ServiceDistribution.pareto_truncated(4.0, 1.0))
+    g = corr.TimeGrid([0.0, 0.5, 1.5, 4.0])
+    n = 150_000
+    x = model.simulate(g, child_rng(108), size=n)
+    rho = model.rho
+    np.testing.assert_allclose(x.mean(axis=0), rho, atol=4 * np.sqrt(rho / n))
 
 
 def test_exponential_service_covariance_decay():
@@ -158,11 +171,9 @@ def test_empirical_cf_matches_analytic():
     assert sup <= 4.0 / np.sqrt(n)
 
 
-def test_window_override_and_validation():
+def test_deterministic_service_mean_and_rate_validation():
     model = mginf.MGInfinityModel(1.0, SERVICES["deterministic"])
     g = corr.TimeGrid([0.0])
-    # a window shorter than the service bound truncates coverage and
-    # shows up as a depressed mean; the full window restores it
     n = 100_000
     full = model.simulate(g, child_rng(107), size=n)
     assert full[:, 0].mean() == pytest.approx(

@@ -72,8 +72,8 @@ class TestEmpiricalCF:
         assert emp.estimates[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_degenerate_sample_has_tiny_stderr(self):
-        # one-pass variance cancels catastrophically on constant input;
-        # the clamp keeps it nonnegative and sqrt leaves ~1e-9 residue
+        # the centred update leaves only rounding on constant input
+        # (~1e-17); the bound is loose on purpose
         emp = stats.empirical_cf(np.full((50, 1), 0.3), [[2.0]])
         assert emp.estimates[0] == pytest.approx(np.exp(0.6j), abs=1e-14)
         assert 0.0 <= emp.stderr[0] <= 1e-7
