@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Every run is driven by a JSON config file; the common flags override the
-matching config fields (flag wins).  Simulation commands write CSV sample
-matrices and JSON reports; nothing is overwritten unless --force is given.
+Every run is driven by a JSON config file; each command takes only the flags
+it reads (_COMMANDS), and --seed/--reps override the config's fields.  CSV
+sample matrices and JSON reports are never overwritten without --force.
 A fixed --seed yields byte-identical artifacts whatever --threads is.
 """
 
@@ -20,12 +20,15 @@ from .errors import BoundViolationError, PreconditionError, QuadratureError
 
 _DEFAULT_THETA = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
 _DEFAULT_THETA_MAX_EPOCHS = 6   # 6^6 = 46,656 default theta vectors
+_ASSUMPTION_DEFAULTS = {"n_list": [100, 1000, 10000], "x_probe": [0.25, 0.5, 0.75],
+                        "eps_list": [0.1, 0.05], "rtol_tail": 0.02}
+# every top-level config field some command reads; any other is refused
+_FIELDS = frozenset("""law structure grid thetas theta_grid reps seed arrival_rate
+    service marks array measure n n_list x_probe eps_list rtol_tail""".split())
 
 
 class CliError(Exception):
-    def __init__(self, message, code=2):
-        super().__init__(message)
-        self.code = code
+    """A usage error; exit status 2."""
 
 
 def _load_config(args):
@@ -33,23 +36,31 @@ def _load_config(args):
         raise CliError("--config is required for this command")
     try:
         with open(args.config) as fh:
-            return json.load(fh)
+            conf = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"config is not valid JSON: {exc}")
+    if not isinstance(conf, dict):
+        raise cfg.ConfigError(f"{args.config}: expected an object, got {type(conf).__name__}")
+    for field in conf:
+        if field not in _FIELDS:
+            raise cfg.ConfigError(f"{field}: unknown field")
+    return conf
 
 
-def _resolve(args, conf, field, default=None, required=False):
-    """Flag > config file > default."""
-    flag = getattr(args, field, None)
-    if flag is not None:
-        return flag
-    if field in conf:
-        return conf[field]
-    if required:
-        raise CliError(f"{field} must be given as a flag or config field")
-    return default
+def _reps_seed(args, conf):
+    """(reps, seed): each flag, else its config field; seed defaults to 0."""
+    reps = conf.get("reps") if args.reps is None else args.reps
+    if reps is None:
+        raise CliError("reps must be given as a flag or config field")
+    return int(reps), int(conf.get("seed", 0) if args.seed is None else args.seed)
+
+
+def _draw(args, conf, fn, batch=rngmod.DEFAULT_BATCH):
+    """``fn(rng, count)`` run over the resolved reps and seed."""
+    return rngmod.run_batched(fn, *_reps_seed(args, conf), stream=0, batch=batch,
+                              threads=args.threads)
 
 
 def _guard_out(path, force):
@@ -57,8 +68,6 @@ def _guard_out(path, force):
         raise CliError("--out is required for this command")
     if os.path.exists(path) and not force:
         raise CliError(f"refusing to overwrite {path} (use --force)")
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
     return path
 
 
@@ -66,6 +75,7 @@ def _replace_into(path, write):
     """Run ``write(fh)`` on a temp file beside ``path``, then move it into
     place, so a failed write never leaves a partial artifact at ``path``."""
     tmp = f"{path}.{os.getpid()}.tmp"
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     try:
         with open(tmp, "w") as fh:
             write(fh)
@@ -76,18 +86,30 @@ def _replace_into(path, write):
         raise
 
 
+def _dump(obj, fh):
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def _write_json(path, obj, force):
     _guard_out(path, force)
-
-    def write(fh):
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _replace_into(path, write)
+    _replace_into(path, lambda fh: _dump(obj, fh))
 
 
-def _write_csv(path, arr, header, force, integer=False):
+def _emit_json(args, obj):
+    """Write ``obj`` to --out, or to stdout when --out is not given."""
+    if args.out:
+        _write_json(args.out, obj, args.force)
+    else:
+        _dump(obj, sys.stdout)
+
+
+def _write_csv(path, arr, force, header=None, integer=False):
+    """Write ``arr`` as CSV under ``header``, by default x1..xn."""
     _guard_out(path, force)
     arr = np.atleast_2d(arr)
+    if header is None:
+        header = ",".join(f"x{k + 1}" for k in range(arr.shape[1]))
     _replace_into(path, lambda fh: np.savetxt(
         fh, arr, delimiter=",", header=header, comments="",
         fmt="%d" if integer else "%.17g"))
@@ -105,9 +127,9 @@ def _thetas(conf, n):
     return stats.theta_product_grid([_DEFAULT_THETA] * n)
 
 
-def _sibling(path, suffix):
-    base, _ = os.path.splitext(path)
-    return base + suffix
+def _assumptions(conf):
+    """check_assumptions' settings: the config's fields, else the defaults."""
+    return {field: conf.get(field, value) for field, value in _ASSUMPTION_DEFAULTS.items()}
 
 
 def cmd_cf_eval(args):
@@ -119,13 +141,8 @@ def cmd_cf_eval(args):
     proc = fidi.CoverageProcess(law, structure)
     vals = proc.log_cf(grid, thetas)
     vals = np.atleast_1d(vals)
-    out = [{"theta": thetas[i].tolist(), "re": float(vals[i].real),
-            "im": float(vals[i].imag)} for i in range(thetas.shape[0])]
-    if args.out:
-        _write_json(args.out, out, args.force)
-    else:
-        json.dump(out, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit_json(args, [{"theta": thetas[i].tolist(), "re": float(vals[i].real),
+                       "im": float(vals[i].imag)} for i in range(thetas.shape[0])])
     return 0
 
 
@@ -134,15 +151,10 @@ def cmd_sample(args):
     law = cfg.law_from_config(conf.get("law", {}), "law")
     structure = cfg.structure_from_config(conf.get("structure", {}), "structure")
     grid = cfg.grid_from_config(conf.get("grid"), "grid")
-    reps = int(_resolve(args, conf, "reps", required=True))
-    seed = int(_resolve(args, conf, "seed", 0))
     _guard_out(args.out, args.force)  # refuse before sampling, not after
     proc = fidi.CoverageProcess(law, structure)
-    samples = rngmod.run_batched(
-        lambda rng, count: proc.sample(grid, rng, size=count),
-        reps, seed, stream=0, threads=args.threads)
-    header = ",".join(f"x{k + 1}" for k in range(len(grid)))
-    _write_csv(args.out, samples, header, args.force)
+    samples = _draw(args, conf, lambda rng, count: proc.sample(grid, rng, size=count))
+    _write_csv(args.out, samples, args.force)
     return 0
 
 
@@ -155,17 +167,12 @@ def cmd_simulate_coverage(args):
         raise CliError("arrival_rate must be set in the config")
     model = mginf.MGInfinityModel(conf["arrival_rate"], service, marks)
     grid = cfg.grid_from_config(conf.get("grid"), "grid")
-    reps = int(_resolve(args, conf, "reps", required=True))
-    seed = int(_resolve(args, conf, "seed", 0))
     # refuse before sampling, not after a long run
     thetas = _thetas(conf, len(grid))
     _guard_out(args.out, args.force)
-    report_path = _guard_out(_sibling(args.out, ".json"), args.force)
-    samples = rngmod.run_batched(
-        lambda rng, count: model.simulate(grid, rng, size=count),
-        reps, seed, stream=0, threads=args.threads)
-    header = ",".join(f"x{k + 1}" for k in range(len(grid)))
-    _write_csv(args.out, samples, header, args.force, integer=marks is None)
+    report_path = _guard_out(os.path.splitext(args.out)[0] + ".json", args.force)
+    samples = _draw(args, conf, lambda rng, count: model.simulate(grid, rng, size=count))
+    _write_csv(args.out, samples, args.force, integer=marks is None)
     values = np.asarray(samples, dtype=float)
     emp = stats.empirical_cf(values, thetas)
     analytic = np.exp(np.atleast_1d(model.log_cf(grid, thetas)))
@@ -184,14 +191,10 @@ def cmd_simulate_onoff(args):
     if "n" not in conf:
         raise CliError("n (row size) must be set in the config")
     n = int(conf["n"])
-    reps = int(_resolve(args, conf, "reps", required=True))
-    seed = int(_resolve(args, conf, "seed", 0))
     _guard_out(args.out, args.force)  # refuse before sampling, not after
-    samples = rngmod.run_batched(
-        lambda rng, count: onoff.superpose(spec, n, grid, rng, reps=count),
-        reps, seed, stream=0, batch=onoff.row_batch(n), threads=args.threads)
-    header = ",".join(f"x{k + 1}" for k in range(len(grid)))
-    _write_csv(args.out, samples, header, args.force)
+    samples = _draw(args, conf, lambda rng, count: onoff.superpose(
+        spec, n, grid, rng, reps=count), batch=onoff.row_batch(n))
+    _write_csv(args.out, samples, args.force)
     return 0
 
 
@@ -199,17 +202,7 @@ def cmd_check_array(args):
     conf = _load_config(args)
     spec = cfg.array_from_config(conf.get("array", {}), "array")
     nu = cfg.measure_from_config(conf.get("measure", {}), "measure")
-    n_list = conf.get("n_list", [100, 1000, 10000])
-    x_probe = conf.get("x_probe", [0.25, 0.5, 0.75])
-    eps_list = conf.get("eps_list", [0.1, 0.05])
-    rtol = conf.get("rtol_tail", 0.02)
-    report = onoff.check_assumptions(spec, n_list, x_probe, eps_list, nu,
-                                     rtol_tail=rtol)
-    if args.out:
-        _write_json(args.out, report, args.force)
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit_json(args, onoff.check_assumptions(spec, nu=nu, **_assumptions(conf)))
     return 0
 
 
@@ -218,23 +211,19 @@ def cmd_convergence(args):
     spec = cfg.array_from_config(conf.get("array", {}), "array")
     nu = cfg.measure_from_config(conf.get("measure", {}), "measure")
     grid = cfg.grid_from_config(conf.get("grid"), "grid")
-    mu = conf.get("mu", spec.mu)
-    n_list = conf.get("n_list", [100, 1000, 10000])
-    reps = int(_resolve(args, conf, "reps", required=True))
-    seed = int(_resolve(args, conf, "seed", 0))
+    settings = _assumptions(conf)
+    reps, seed = _reps_seed(args, conf)
     thetas = _thetas(conf, len(grid))
     # refuse before the study, not after it
     _guard_out(args.out, args.force)
-    table_path = _guard_out(_sibling(args.out, ".csv"), args.force)
-    report = onoff.convergence_study(spec, nu, mu, grid, thetas, n_list, reps,
-                                     seed, threads=args.threads)
-    report["assumptions"] = onoff.check_assumptions(
-        spec, n_list, conf.get("x_probe", [0.25, 0.5, 0.75]),
-        conf.get("eps_list", [0.1, 0.05]), nu)
+    table_path = _guard_out(os.path.splitext(args.out)[0] + ".csv", args.force)
+    report = onoff.convergence_study(spec, nu, spec.mu, grid, thetas,
+                                     settings["n_list"], reps, seed, threads=args.threads)
+    report["assumptions"] = onoff.check_assumptions(spec, nu=nu, **settings)
     _write_json(args.out, report, args.force)
     rows = report["rows"]
     table = np.array([[r["n"], r["sup"], r["l2"], r["analytic_bias"]] for r in rows])
-    _write_csv(table_path, table, "n,sup,l2,analytic_bias", args.force)
+    _write_csv(table_path, table, args.force, header="n,sup,l2,analytic_bias")
     return 0
 
 
@@ -253,35 +242,39 @@ def cmd_verify(args):
     return 0
 
 
+_FLAGS = {
+    "--config": dict(help="JSON config file"),
+    "--seed": dict(type=int, help="RNG seed (overrides config)"),
+    "--reps": dict(type=int, help="replication count (overrides config)"),
+    "--out": dict(help="output path"),
+    "--force": dict(action="store_true", help="allow overwriting existing outputs"),
+    "--threads": dict(type=int, default=1, help="worker threads (never changes results)"),
+}
+_FILE_FLAGS = ("--config", "--out", "--force")
+_COMMANDS = (
+    ("cf-eval", cmd_cf_eval, _FILE_FLAGS),
+    ("sample", cmd_sample, tuple(_FLAGS)),
+    ("simulate-coverage", cmd_simulate_coverage, tuple(_FLAGS)),
+    ("simulate-onoff", cmd_simulate_onoff, tuple(_FLAGS)),
+    ("check-array", cmd_check_array, _FILE_FLAGS),
+    ("convergence", cmd_convergence, tuple(_FLAGS)),
+    # verify runs on one thread; it takes --threads only because
+    # test_criterion_11_thread_reproducibility passes it
+    ("verify", cmd_verify, ("--seed", "--threads")),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="idcoverage",
         description="Stationary ID coverage processes: CF evaluation, exact "
                     "sampling, infinite-server and on/off simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, needs_out=True):
+    for name, fn, flags in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (overrides config)")
-        p.add_argument("--reps", type=int, default=None,
-                       help="replication count (overrides config)")
-        p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--force", action="store_true",
-                       help="allow overwriting existing outputs")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (never changes results)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn)
-        return p
-
-    add("cf-eval", cmd_cf_eval)
-    add("sample", cmd_sample)
-    add("simulate-coverage", cmd_simulate_coverage)
-    add("simulate-onoff", cmd_simulate_onoff)
-    add("check-array", cmd_check_array)
-    add("convergence", cmd_convergence)
-    add("verify", cmd_verify)
     return parser
 
 
@@ -292,7 +285,7 @@ def main(argv=None):
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
     except cfg.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

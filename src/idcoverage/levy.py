@@ -99,8 +99,14 @@ class LevyMeasure:
         return self._integral(q, 0.0, np.inf)
 
     def tail(self, x):
-        """Mass of [x, inf)."""
-        return self._integral(0, x, np.inf)
+        """Mass of [x, inf); inf at or below the lower end of a density whose
+        mass there does not integrate, as for an infinite-activity measure."""
+        try:
+            return self._integral(0, x, np.inf)
+        except QuadratureError:
+            if self.kind == "density" and x <= self.lower:
+                return np.inf
+            raise
 
     def first_moment_tail(self, x):
         """int_{[x, inf)} y d(measure)."""

@@ -208,7 +208,7 @@ def superpose(spec, n, grid, rng, reps=None):
     lam, r = spec.row(n)
     t = _epochs(grid)
     total = 1 if reps is None else int(reps)
-    block = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    block = row_batch(n)
     out = np.empty((total, t.size))
     for lo in range(0, total, block):
         out[lo:lo + block] = _row_paths(lam, spec.mu, r, t, rng, min(block, total - lo))

@@ -4,6 +4,7 @@ CLI commands run in-process through cli.main so exit codes, artifacts, and
 precedence rules are all checked against real files under tmp_path.
 """
 
+import argparse
 import filecmp
 import json
 import os
@@ -148,6 +149,7 @@ def _readme_json_blocks():
 
 @pytest.mark.parametrize("conf", _readme_json_blocks())
 def test_readme_json_blocks_build(conf):
+    assert set(conf) <= cli._FIELDS, sorted(set(conf) - cli._FIELDS)
     builders = {"law": cfg.law_from_config, "structure": cfg.structure_from_config,
                 "service": cfg.service_from_config, "marks": cfg.mark_from_config,
                 "measure": cfg.measure_from_config, "array": cfg.array_from_config}
@@ -165,6 +167,38 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+FILE_FLAGS = {"--config", "--out", "--force"}
+ALL_FLAGS = FILE_FLAGS | {"--seed", "--reps", "--threads"}
+COMMAND_FLAGS = {
+    "cf-eval": FILE_FLAGS, "check-array": FILE_FLAGS,
+    "sample": ALL_FLAGS, "simulate-coverage": ALL_FLAGS,
+    "simulate-onoff": ALL_FLAGS, "convergence": ALL_FLAGS,
+    "verify": {"--seed", "--threads"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {opt for action in p._actions for opt in action.option_strings
+                    if opt != "--help" and opt.startswith("--")}
+             for name, p in sub.choices.items()}
+    assert flags == COMMAND_FLAGS
+    assert sum(len(v) for v in flags.values()) == 32
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("cf-eval", "--threads"), ("cf-eval", "--seed"), ("cf-eval", "--reps"),
+    ("check-array", "--threads"), ("check-array", "--seed"), ("check-array", "--reps"),
+    ("verify", "--out"), ("verify", "--config"),
+])
+def test_unread_flag_is_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 SAMPLE_CONF = {
@@ -233,11 +267,17 @@ class TestCfEval:
         assert "theta_grid" in capsys.readouterr().err
 
 
+def _sampler_calls(monkeypatch):
+    """The list of run_batched calls, which from now on sample nothing."""
+    calls = []
+    monkeypatch.setattr(rngmod, "run_batched", lambda *a, **k: calls.append(a))
+    return calls
+
+
 def _refuses_before_sampling(monkeypatch, capsys, command, conf, out):
     """An existing --out without --force exits 2 without running the sampler
     and leaves the file as it was."""
-    calls = []
-    monkeypatch.setattr(rngmod, "run_batched", lambda *a, **k: calls.append(a))
+    calls = _sampler_calls(monkeypatch)
     out.write_text("keep me\n")
     assert cli.main([command, "--config", conf, "--out", str(out)]) == 2
     assert "refusing to overwrite" in capsys.readouterr().err
@@ -375,6 +415,27 @@ class TestSimulateCoverage:
         assert "thetas" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"arrival_rate": 1.0, "service": {"kind": "exponential", "rate": 1.0},
+          "grid": [0.0, 1.0], "reps": 40, "theta_gird": [-1.0, 1.0]},
+         "config error: theta_gird: unknown field"),
+        ({"arrival_rate": 1.0, "service": {"kind": "exponential", "rate": 1.0},
+          "grid": [0.0, 1.0], "reps": 40, "mu": 2.0},
+         "config error: mu: unknown field"),
+        ([{"arrival_rate": 1.0, "service": {"kind": "exponential", "rate": 1.0},
+           "grid": [0.0, 1.0], "reps": 40}],
+         "expected an object, got list"),
+    ])
+    def test_bad_top_level_refused_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                   payload, message):
+        calls = _sampler_calls(monkeypatch)
+        conf = write_config(tmp_path, "c.json", payload)
+        out = str(tmp_path / "counts.csv")
+        assert cli.main(["simulate-coverage", "--config", conf, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert os.listdir(tmp_path) == ["c.json"]
+
     def test_default_theta_grid_capped_before_sampling(self, tmp_path, capsys):
         conf = write_config(tmp_path, "c.json", {
             "arrival_rate": 1.0,
@@ -454,6 +515,23 @@ class TestCheckArrayAndConvergence:
         assert table[0] == "n,sup,l2,analytic_bias"
         assert len(table) == 3
 
+    @pytest.mark.parametrize("rtol, passes", [(0.02, True), (1e-9, False)])
+    def test_convergence_honours_rtol_tail(self, tmp_path, rtol, passes):
+        conf = write_config(tmp_path, "c.json", {
+            "array": {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
+            "measure": {"kind": "reciprocal", "b": 0.5},
+            "grid": [0.0, 1.0],
+            "n_list": [100, 10000],
+            "reps": 200,
+            "seed": 5,
+            "theta_grid": [-1.0, 1.0],
+            "rtol_tail": rtol,
+        })
+        conv, check = tmp_path / "conv.json", tmp_path / "check.json"
+        assert cli.main(["convergence", "--config", conf, "--out", str(conv)]) == 0
+        assert cli.main(["check-array", "--config", conf, "--out", str(check)]) == 0
+        conv_a4 = json.loads(conv.read_text())["assumptions"]["A4"]["pass"]
+        assert conv_a4 is json.loads(check.read_text())["A4"]["pass"] is passes
 
     def test_existing_table_refused_before_study(self, tmp_path, capsys):
         conf = write_config(tmp_path, "c.json", {

@@ -172,6 +172,13 @@ class TestReciprocalMeasure:
             assert self.nu.tail(x) == pytest.approx(np.log(1.0 / x) * self.c, rel=1e-10)
         assert self.nu.tail(1.5) == 0.0
 
+    def test_tail_at_or_below_lower_end(self):
+        # c/x has infinite mass at 0; a density with finite mass keeps its total
+        assert self.nu.tail(0.0) == np.inf
+        assert self.nu.tail(-1.0) == np.inf
+        finite = levy.LevyMeasure.from_density(lambda x: 2.0 * x, 0.0, 1.0)
+        assert finite.tail(0.0) == pytest.approx(1.0, rel=1e-10)
+
     def test_first_moment_tail(self):
         for x in (0.25, 0.5, 0.75):
             assert self.nu.first_moment_tail(x) == pytest.approx((1.0 - x) * self.c, rel=1e-10)
