@@ -49,12 +49,25 @@ def _load_config(args):
     return conf
 
 
+def _count(conf, field, least=0, default=None):
+    """Config field ``field`` (else ``default``) as an int of at least
+    ``least``; any other JSON value (a string, a bool, 2.5) is a
+    ConfigError naming the field."""
+    value = conf.get(field, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise cfg.ConfigError(f"{field}: expected an integer >= {least}, got {value!r}")
+    return value
+
+
 def _reps_seed(args, conf):
     """(reps, seed): each flag, else its config field; seed defaults to 0."""
-    reps = conf.get("reps") if args.reps is None else args.reps
-    if reps is None:
+    if args.reps is None and conf.get("reps") is None:
         raise CliError("reps must be given as a flag or config field")
-    return int(reps), int(conf.get("seed", 0) if args.seed is None else args.seed)
+    reps = _count(conf, "reps") if args.reps is None else args.reps
+    seed = _count(conf, "seed", default=0) if args.seed is None else args.seed
+    return reps, seed
 
 
 def _draw(args, conf, fn, batch=rngmod.DEFAULT_BATCH):
@@ -190,7 +203,7 @@ def cmd_simulate_onoff(args):
     grid = cfg.grid_from_config(conf.get("grid"), "grid")
     if "n" not in conf:
         raise CliError("n (row size) must be set in the config")
-    n = int(conf["n"])
+    n = _count(conf, "n", least=1)
     _guard_out(args.out, args.force)  # refuse before sampling, not after
     samples = _draw(args, conf, lambda rng, count: onoff.superpose(
         spec, n, grid, rng, reps=count), batch=onoff.row_batch(n))
@@ -242,10 +255,18 @@ def cmd_verify(args):
     return 0
 
 
+def _nonnegative(text):
+    """argparse type of --seed and --reps: a usage error below 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
+    return value
+
+
 _FLAGS = {
     "--config": dict(help="JSON config file"),
-    "--seed": dict(type=int, help="RNG seed (overrides config)"),
-    "--reps": dict(type=int, help="replication count (overrides config)"),
+    "--seed": dict(type=_nonnegative, help="RNG seed (overrides config)"),
+    "--reps": dict(type=_nonnegative, help="replication count (overrides config)"),
     "--out": dict(help="output path"),
     "--force": dict(action="store_true", help="allow overwriting existing outputs"),
     "--threads": dict(type=int, default=1, help="worker threads (never changes results)"),

@@ -285,6 +285,37 @@ def _refuses_before_sampling(monkeypatch, capsys, command, conf, out):
     assert out.read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("sample", "reps", "abc"),
+    ("sample", "reps", 2.5),
+    ("sample", "seed", "abc"),
+    ("sample", "seed", -1),
+    ("simulate-onoff", "n", "abc"),
+    ("simulate-onoff", "n", True),
+])
+def test_wrong_integer_field_refused_before_sampling(tmp_path, monkeypatch, capsys,
+                                                     command, field, value):
+    calls = _sampler_calls(monkeypatch)
+    base = SAMPLE_CONF if command == "sample" else TestSimulateOnoff.CONF
+    conf = write_config(tmp_path, "c.json", dict(base, **{field: value}))
+    out = str(tmp_path / "out.csv")
+    assert cli.main([command, "--config", conf, "--out", out]) == 2
+    assert f"config error: {field}: expected an integer" in capsys.readouterr().err
+    assert calls == []
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--reps"])
+def test_negative_flag_is_usage_error(tmp_path, monkeypatch, capsys, flag):
+    calls = _sampler_calls(monkeypatch)
+    conf = write_config(tmp_path, "c.json", SAMPLE_CONF)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sample", "--config", conf, "--out", str(tmp_path / "out.csv"), flag, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer >= 0, got -1" in capsys.readouterr().err
+    assert calls == []
+
+
 class TestSample:
     def test_writes_csv_with_header(self, tmp_path):
         conf = write_config(tmp_path, "c.json", SAMPLE_CONF)

@@ -292,9 +292,49 @@ def reference_superpose(lam, mu, r, t, rng, total, block):
     return out
 
 
+def reference_bernoulli_set(p, size, rng):
+    """Flat positions f in [0, size), each present with chance p[f % len(p)]:
+    geometric gaps at max(p), drawn in the sampler's chunk sizes, then one
+    thinning uniform per proposal unless p is constant."""
+    top, last, pos = p.max(), -1, []
+    while last < size - 1:
+        expect = (size - 1 - last) * top
+        for gap in rng.geometric(top, int(expect + 4.0 * np.sqrt(expect)) + 16).tolist():
+            last += gap
+            if last < size:
+                pos.append(last)
+    if p.min() < top:
+        pos = [f for f, u in zip(pos, rng.random(len(pos))) if u * top < p[f % p.size]]
+    return pos
+
+
+def reference_sparse_superpose(lam, mu, r, t, rng, total, block):
+    """Row sums drawn block by block from the ON set alone, kept as a set."""
+    n, pi, out = lam.size, lam / (lam + mu), np.zeros((total, t.size))
+    for lo in range(0, total, block):
+        size = min(block, total - lo) * n
+        on = set(reference_bernoulli_set(pi, size, rng))
+        for k in range(t.size):
+            if k:
+                decay = np.exp(-(lam + mu) * (t[k] - t[k - 1]))
+                p11, old = pi + (1 - pi) * decay, sorted(on)
+                on = {f for f, u in zip(old, rng.random(len(old))) if u < p11[f % n]}
+                on |= set(reference_bernoulli_set(pi * (1 - decay), size, rng)) - set(old)
+            for f in sorted(on):
+                out[lo + f // n, k] += r[f % n]
+    return out
+
+
+def sparse_row(lam_top, n=40):
+    """An explicit row of n sources at two rates, lam_top and lam_top / 4."""
+    lam = np.where(np.arange(n) % 2, lam_top, lam_top / 4)
+    r = np.linspace(0.2, 1.0, n)
+    return onoff.OnOffArraySpec("explicit", mu=1.0, rows={n: list(zip(lam, r))})
+
+
 class TestRandomStream:
     """The samplers draw the same uniforms, in the same order, as the
-    per-source and per-block reference loops above."""
+    per-source, per-block and sparse reference loops above."""
 
     def test_simulate_path_matches_reference(self):
         src = onoff.OnOffSource(lam=0.7, mu=1.3, r=2.0)
@@ -304,15 +344,45 @@ class TestRandomStream:
             want = reference_path(src, grid.t, child_rng(701), 1 if size is None else size)
             assert np.array_equal(got, want[0] if size is None else want)
 
-    def test_superpose_matches_reference_across_blocks(self):
+    def test_superpose_matches_sparse_reference_across_blocks(self):
         spec = onoff.OnOffArraySpec("power_example", mu=1.0, alpha_exp=0.5, b=0.5)
         grid = corr.TimeGrid([0.0, 0.5, 1.5])
         n, reps = 50_000, 250      # blocks of 100 reps: 100 + 100 + 50
         lam, r = spec.row(n)
         got = onoff.superpose(spec, n, grid, child_rng(702), reps=reps)
-        want = reference_superpose(lam, spec.mu, r, grid.t, child_rng(702), reps,
-                                   onoff._BLOCK_ELEMENTS // n)
+        want = reference_sparse_superpose(lam, spec.mu, r, grid.t, child_rng(702), reps,
+                                          onoff._BLOCK_ELEMENTS // n)
         assert np.array_equal(got, want)
+
+    def test_sparse_superpose_law_matches_dense_reference(self):
+        spec = onoff.OnOffArraySpec("power_example", mu=1.0, alpha_exp=0.5, b=0.5)
+        grid = corr.TimeGrid([0.0, 0.5, 1.5])
+        n, reps = 500, 40_000
+        lam, r = spec.row(n)
+        thetas = stats.theta_product_grid([[-1.0, 0.5]] * 3)
+        exact = np.exp(onoff.row_joint_log_cf(spec, n, grid, thetas))
+        sparse = onoff.superpose(spec, n, grid, child_rng(703), reps=reps)
+        dense = reference_superpose(lam, spec.mu, r, grid.t, child_rng(704), reps,
+                                    onoff.row_batch(n))
+        for x in (sparse, dense):
+            sup, _ = stats.cf_distance(stats.empirical_cf(x, thetas), exact)
+            assert sup <= 4.0 / np.sqrt(reps)
+
+    def test_each_side_of_the_switch_follows_its_reference(self):
+        grid = corr.TimeGrid([0.0, 0.5, 1.5])
+        reps, cut = 30_000, onoff._SPARSE_MAX_PI
+        thetas = stats.theta_product_grid([[-1.0, 0.5]] * 3)
+        for pi_top, reference in ((0.9 * cut, reference_sparse_superpose),
+                                  (1.1 * cut, reference_superpose)):
+            spec = sparse_row(pi_top / (1 - pi_top))
+            lam, r = spec.row(40)
+            got = onoff.superpose(spec, 40, grid, child_rng(705), reps=reps)
+            want = reference(lam, spec.mu, r, grid.t, child_rng(705), reps,
+                             onoff.row_batch(40))
+            assert np.array_equal(got, want)
+            exact = np.exp(onoff.row_joint_log_cf(spec, 40, grid, thetas))
+            sup, _ = stats.cf_distance(stats.empirical_cf(got, thetas), exact)
+            assert sup <= 4.0 / np.sqrt(reps)
 
     def test_row_batch_reads_default_batch_at_call_time(self, monkeypatch):
         assert onoff.row_batch(10) == rngmod.DEFAULT_BATCH
@@ -320,6 +390,63 @@ class TestRandomStream:
         monkeypatch.setattr(rngmod, "DEFAULT_BATCH", 64)
         assert onoff.row_batch(10) == 64
         assert onoff.row_batch(10**8) == 1
+
+
+class TestSparsePath:
+    """Rows with max pi <= _SPARSE_MAX_PI draw only their ON sets."""
+
+    def test_one_gap_transition_frequencies(self):
+        # a candidate OFF -> ON switch that lands on an ON source must be
+        # dropped, not counted again: that would lift ON -> ON to
+        # p11 + (1 - p11) p01, here by 0.053, about 40 standard errors
+        lam, mu, gap, reps = 0.15, 1.0, 1.0, 1_000_000
+        assert lam / (lam + mu) <= onoff._SPARSE_MAX_PI
+        spec = onoff.OnOffArraySpec("explicit", mu=mu, rows={1: [(lam, 1.0)]})
+        x = onoff.superpose(spec, 1, corr.TimeGrid([0.0, gap]), child_rng(711), reps=reps)
+        before, after = x[:, 0] > 0, x[:, 1] > 0
+        p01, p11 = onoff.OnOffSource(lam, mu, 1.0).transition_matrix(gap)[:, 1]
+        pi = lam / (lam + mu)
+        assert before.mean() == pytest.approx(pi, abs=4 * np.sqrt(pi * (1 - pi) / reps))
+        for start, p in ((before, p11), (~before, p01)):
+            count = start.sum()
+            assert after[start].mean() == pytest.approx(
+                p, abs=4 * np.sqrt(p * (1 - p) / count))
+
+    def test_two_rate_row_matches_row_cf(self):
+        # sources at two rates, so each proposal is thinned to its own rate
+        spec = sparse_row(0.15, n=200)
+        lam, _ = spec.row(200)
+        assert (lam / (lam + spec.mu)).max() <= onoff._SPARSE_MAX_PI
+        grid = corr.TimeGrid([0.0, 0.5, 1.5])
+        reps = 100_000
+        x = onoff.superpose(spec, 200, grid, child_rng(712), reps=reps)
+        thetas = stats.theta_product_grid([[-1.0, 0.5]] * 3)
+        exact = np.exp(onoff.row_joint_log_cf(spec, 200, grid, thetas))
+        sup, _ = stats.cf_distance(stats.empirical_cf(x, thetas), exact)
+        assert sup <= 4.0 / np.sqrt(reps)
+
+    def test_empty_block(self):
+        grid = corr.TimeGrid([0.0, 1.0])
+        src = onoff.OnOffSource(lam=0.05, mu=1.0, r=1.0)
+        assert src.pi <= onoff._SPARSE_MAX_PI
+        assert src.simulate_path(grid, child_rng(714), size=0).shape == (0, 2)
+
+    def test_per_source_mu(self):
+        # mu may be one rate per source; the row CF is then the sum of the
+        # per-source chain CFs
+        n, reps = 30, 100_000
+        lam = np.full(n, 0.05)
+        mu = np.linspace(0.5, 3.0, n)
+        r = np.linspace(0.2, 1.0, n)
+        t = np.array([0.0, 0.5, 1.5])
+        assert (lam / (lam + mu)).max() <= onoff._SPARSE_MAX_PI
+        x = onoff._row_paths(lam, mu, r, t, child_rng(713), reps)
+        thetas = stats.theta_product_grid([[-1.0, 0.5]] * 3)
+        exact = np.exp(sum(
+            np.array([onoff.OnOffSource(l, m, rr).joint_log_cf(t, th) for th in thetas])
+            for l, m, rr in zip(lam, mu, r)))
+        sup, _ = stats.cf_distance(stats.empirical_cf(x, thetas), exact)
+        assert sup <= 4.0 / np.sqrt(reps)
 
 
 class TestIncrementBounds:
