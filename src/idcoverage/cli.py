@@ -49,11 +49,10 @@ def _load_config(args):
     return conf
 
 
-def _count(conf, field, least=0, default=None):
-    """Config field ``field`` (else ``default``) as an int of at least
-    ``least``; any other JSON value (a string, a bool, 2.5) is a
-    ConfigError naming the field."""
-    value = conf.get(field, default)
+def _count(value, field, least=0):
+    """``value`` of config field ``field`` as an int of at least ``least``;
+    any other JSON value (a string, a bool, 2.5) is a ConfigError naming
+    the field."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
@@ -61,12 +60,22 @@ def _count(conf, field, least=0, default=None):
     return value
 
 
+def _real(value, field, least=None):
+    """Check that ``value`` of config field ``field`` is a finite number, of
+    at least ``least`` if given; a string, bool, null, NaN or infinity is a
+    ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not -np.inf < value < np.inf or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise cfg.ConfigError(f"{field}: expected a finite number{bound}, got {value!r}")
+
+
 def _reps_seed(args, conf):
     """(reps, seed): each flag, else its config field; seed defaults to 0."""
     if args.reps is None and conf.get("reps") is None:
         raise CliError("reps must be given as a flag or config field")
-    reps = _count(conf, "reps") if args.reps is None else args.reps
-    seed = _count(conf, "seed", default=0) if args.seed is None else args.seed
+    reps = _count(conf.get("reps"), "reps") if args.reps is None else args.reps
+    seed = _count(conf.get("seed", 0), "seed") if args.seed is None else args.seed
     return reps, seed
 
 
@@ -117,15 +126,16 @@ def _emit_json(args, obj):
         _dump(obj, sys.stdout)
 
 
-def _write_csv(path, arr, force, header=None, integer=False):
-    """Write ``arr`` as CSV under ``header``, by default x1..xn."""
+def _write_csv(path, arr, force, header=None):
+    """Write ``arr`` as CSV under ``header``, by default x1..xn: integers
+    as %d, floats as %.17g."""
     _guard_out(path, force)
     arr = np.atleast_2d(arr)
     if header is None:
         header = ",".join(f"x{k + 1}" for k in range(arr.shape[1]))
     _replace_into(path, lambda fh: np.savetxt(
         fh, arr, delimiter=",", header=header, comments="",
-        fmt="%d" if integer else "%.17g"))
+        fmt="%d" if np.issubdtype(arr.dtype, np.integer) else "%.17g"))
 
 
 def _thetas(conf, n):
@@ -141,8 +151,20 @@ def _thetas(conf, n):
 
 
 def _assumptions(conf):
-    """check_assumptions' settings: the config's fields, else the defaults."""
-    return {field: conf.get(field, value) for field, value in _ASSUMPTION_DEFAULTS.items()}
+    """check_assumptions' settings: the config's fields, else the defaults.
+    n_list holds whole numbers >= 1, x_probe and eps_list finite numbers,
+    each in a nonempty list, and rtol_tail is a finite number >= 0; any
+    other value is a ConfigError naming the field.  Call before sampling."""
+    settings = {field: conf.get(field, value) for field, value in _ASSUMPTION_DEFAULTS.items()}
+    for field in ("n_list", "x_probe", "eps_list"):
+        if not isinstance(settings[field], list) or not settings[field]:
+            raise cfg.ConfigError(f"{field}: expected a nonempty list, got {settings[field]!r}")
+    settings["n_list"] = [_count(n, "n_list", least=1) for n in settings["n_list"]]
+    for field in ("x_probe", "eps_list"):
+        for x in settings[field]:
+            _real(x, field)
+    _real(settings["rtol_tail"], "rtol_tail", least=0)
+    return settings
 
 
 def cmd_cf_eval(args):
@@ -185,7 +207,7 @@ def cmd_simulate_coverage(args):
     _guard_out(args.out, args.force)
     report_path = _guard_out(os.path.splitext(args.out)[0] + ".json", args.force)
     samples = _draw(args, conf, lambda rng, count: model.simulate(grid, rng, size=count))
-    _write_csv(args.out, samples, args.force, integer=marks is None)
+    _write_csv(args.out, samples, args.force)
     values = np.asarray(samples, dtype=float)
     emp = stats.empirical_cf(values, thetas)
     analytic = np.exp(np.atleast_1d(model.log_cf(grid, thetas)))
@@ -203,7 +225,7 @@ def cmd_simulate_onoff(args):
     grid = cfg.grid_from_config(conf.get("grid"), "grid")
     if "n" not in conf:
         raise CliError("n (row size) must be set in the config")
-    n = _count(conf, "n", least=1)
+    n = _count(conf["n"], "n", least=1)
     _guard_out(args.out, args.force)  # refuse before sampling, not after
     samples = _draw(args, conf, lambda rng, count: onoff.superpose(
         spec, n, grid, rng, reps=count), batch=onoff.row_batch(n))

@@ -138,8 +138,8 @@ class OnOffSource:
     r: float
 
     def __post_init__(self):
-        if min(self.lam, self.mu, self.r) <= 0:
-            raise PreconditionError("lam, mu, r must all be positive")
+        if not all(0.0 < v < np.inf for v in (self.lam, self.mu, self.r)):
+            raise PreconditionError("lam, mu, r must all be positive and finite")
 
     @property
     def pi(self):
@@ -164,16 +164,10 @@ class OnOffSource:
         return float(self.pi * np.prod(p11))
 
     def joint_log_cf(self, grid, theta):
-        """Exact joint log CF of (zeta(t_1), ..., zeta(t_m)) by chain algebra."""
-        theta = np.asarray(theta, dtype=float)
-        pi = self.pi
-        w = np.array([1.0 - pi, pi], dtype=complex)
-        t = _epochs(grid)
-        for k in range(t.size):
-            w[1] *= np.exp(1j * theta[k] * self.r)
-            if k + 1 < t.size:
-                w = w @ self.transition_matrix(t[k + 1] - t[k])
-        return complex(np.log(w.sum()))
+        """Exact joint log CF of (zeta(t_1), ..., zeta(t_m)), a one-source
+        _chain_log_cf."""
+        return _chain_log_cf(np.array([self.lam]), self.mu, np.array([self.r]),
+                             _epochs(grid), theta)
 
     def simulate_path(self, grid, rng, size=None):
         """Draw zeta at the grid epochs exactly (stationary start, exact
@@ -192,8 +186,8 @@ class OnOffArraySpec:
     """
 
     def __init__(self, kind, mu, *, alpha_exp=None, b=None, rows=None):
-        if mu <= 0:
-            raise PreconditionError("mu must be positive")
+        if not 0.0 < mu < np.inf:
+            raise PreconditionError("mu must be positive and finite")
         self.kind, self.mu = kind, float(mu)
         if kind == "power_example":
             if alpha_exp is None or not 0.0 < alpha_exp < 1.0:
@@ -209,10 +203,12 @@ class OnOffArraySpec:
                 n = int(n)
                 if len(params) != n:
                     raise PreconditionError(f"row {n} must list exactly {n} sources")
+                if any(len(p) != 2 for p in params):
+                    raise PreconditionError(f"row {n}: each source must be a (lam, r) pair")
                 lam = np.array([p[0] for p in params], dtype=float)
                 r = np.array([p[1] for p in params], dtype=float)
-                if (lam <= 0).any() or (r <= 0).any():
-                    raise PreconditionError("all lam_nj, r_nj must be positive")
+                if not ((lam > 0) & (lam < np.inf) & (r > 0) & (r < np.inf)).all():
+                    raise PreconditionError("all lam_nj, r_nj must be positive and finite")
                 clean[n] = (lam, r)
             self.rows = clean
         else:
@@ -235,26 +231,20 @@ class OnOffArraySpec:
         return [OnOffSource(float(l), self.mu, float(rr)) for l, rr in zip(lam, r)]
 
 
-@dataclass
-class EmpiricalLevyMeasure:
-    """Row jump measure: sum_j lam_j * delta(r_j)."""
+class EmpiricalLevyMeasure(levy.LevyMeasure):
+    """Row jump measure sum_j lam_j * delta(r_j): the atomic LevyMeasure with
+    atoms r and masses lam."""
 
-    lam: np.ndarray
-    r: np.ndarray
+    def __init__(self, lam, r):
+        super().__init__("atomic", locations=r, masses=lam)
 
-    def tail(self, x):
-        return float(self.lam[self.r >= x].sum())
-
-    def first_moment_tail(self, x):
-        keep = self.r >= x
-        return float((self.lam[keep] * self.r[keep]).sum())
-
-    def moment_sum(self, p):
-        return float((self.lam * self.r**p).sum())
+    lam = property(lambda self: self.masses)
+    r = property(lambda self: self.locations)
+    moment_sum = levy.LevyMeasure.moment
 
     def small_jump_first_moment(self, eps):
-        keep = self.r <= eps
-        return float((self.lam[keep] * self.r[keep]).sum())
+        """int_(0, eps] y d(measure), atoms at eps included."""
+        return self._integral(1, 0.0, np.nextafter(eps, np.inf))
 
 
 def row_measure(spec, n):
@@ -282,34 +272,37 @@ def superpose(spec, n, grid, rng, reps=None):
     return out[0] if reps is None else out
 
 
-def row_joint_log_cf(spec, n, grid, thetas):
-    """Exact log CF of the row sum, product of per-source chain CFs.
+def _chain_log_cf(lam, mu, r, t, thetas):
+    """Exact joint log CF at epochs t of the summed independent sources: one
+    forward pass of each source's two-state chain with CF weights.
 
     thetas may be one vector (m,) or a stack (M, m); complex scalar or (M,).
     """
-    lam, r = spec.row(n)
-    t = _epochs(grid)
-    m = t.size
     thetas = np.asarray(thetas, dtype=float)
     single = thetas.ndim == 1
     th = np.atleast_2d(thetas)
-    if th.shape[1] != m:
+    if th.shape[1] != t.size:
         raise PreconditionError("theta length must match the grid")
-    pi = lam / (lam + spec.mu)
+    pi = lam / (lam + mu)
     # w has shape (M, n, 2): chain state weights per theta row and source
-    w = np.empty((th.shape[0], n, 2), dtype=complex)
+    w = np.empty((th.shape[0], r.size, 2), dtype=complex)
     w[:, :, 0] = 1.0 - pi
     w[:, :, 1] = pi
-    for k in range(m):
+    for k in range(t.size):
         w[:, :, 1] *= np.exp(1j * np.multiply.outer(th[:, k], r))
-        if k + 1 < m:
-            p01, p11 = _on_probs(lam, spec.mu, t[k + 1] - t[k])
+        if k + 1 < t.size:
+            p01, p11 = _on_probs(lam, mu, t[k + 1] - t[k])
             w0 = w[:, :, 0] * (1.0 - p01) + w[:, :, 1] * (1.0 - p11)
             w1 = w[:, :, 0] * p01 + w[:, :, 1] * p11
             w[:, :, 0], w[:, :, 1] = w0, w1
-    per_source = w.sum(axis=2)
-    out = np.log(per_source).sum(axis=1)
+    out = np.log(w.sum(axis=2)).sum(axis=1)
     return complex(out[0]) if single else out
+
+
+def row_joint_log_cf(spec, n, grid, thetas):
+    """Exact log CF of the row sum: _chain_log_cf over the row's sources."""
+    lam, r = spec.row(n)
+    return _chain_log_cf(lam, spec.mu, r, _epochs(grid), thetas)
 
 
 def uan_check(spec, n, theta_grid):
@@ -372,21 +365,12 @@ def check_assumptions(spec, n_list, x_probe, eps_list, nu, rtol_tail=0.02):
     n_list = sorted(int(n) for n in n_list)
     x_probe = [float(x) for x in x_probe]
     eps_list = sorted(float(e) for e in eps_list)
-    max_lam = []
-    small_jump = {e: [] for e in eps_list}
-    moment_sums = {p: [] for p in (1, 2, 3, 4)}
-    tails = {x: [] for x in x_probe}
-    fm_tails = {x: [] for x in x_probe}
-    for n in n_list:
-        m = row_measure(spec, n)
-        max_lam.append(float(m.lam.max()))
-        for e in eps_list:
-            small_jump[e].append(m.small_jump_first_moment(e))
-        for p in moment_sums:
-            moment_sums[p].append(m.moment_sum(p))
-        for x in x_probe:
-            tails[x].append(m.tail(x))
-            fm_tails[x].append(m.first_moment_tail(x))
+    rows = [row_measure(spec, n) for n in n_list]
+    max_lam = [float(m.lam.max()) for m in rows]
+    small_jump = {e: [m.small_jump_first_moment(e) for m in rows] for e in eps_list}
+    moment_sums = {p: [m.moment(p) for m in rows] for p in (1, 2, 3, 4)}
+    tails = {x: [m.tail(x) for m in rows] for x in x_probe}
+    fm_tails = {x: [m.first_moment_tail(x) for m in rows] for x in x_probe}
     nu_tail = {x: nu.tail(x) for x in x_probe}
     nu_fm_tail = {x: nu.first_moment_tail(x) for x in x_probe}
     nu_moments = {q: nu.moment(q) for q in (1, 2)}
@@ -567,8 +551,8 @@ def algebraic_identity_check(m, theta, grid, alpha_rate, r):
 
     Left: over every ordered index subset of size >= 2, the decay across
     the subset's extremes times the product of its CF increments.  Right:
-    the O(m^2) contiguous-block form, weights glued from the gap decays
-    (boundary factors 1), minus the size-1 terms.  Returns (lhs, rhs).
+    the O(m^2) contiguous-block form weighted by espc_weights(alpha_rate),
+    minus the size-1 terms.  Returns (lhs, rhs).
     """
     if m < 2:
         raise PreconditionError("need m >= 2")
@@ -585,14 +569,9 @@ def algebraic_identity_check(m, theta, grid, alpha_rate, r):
         for sub in combinations(range(m), k):
             lhs += np.exp(-alpha_rate * (t[sub[-1]] - t[sub[0]])) * np.prod(f[list(sub)])
 
-    prefix = np.concatenate([[0.0], np.cumsum(theta)])
-    rhs = -f.sum()
-    for u in range(m):
-        left = 1.0 if u == 0 else 1.0 - np.exp(-alpha_rate * (t[u] - t[u - 1]))
-        for v in range(u, m):
-            right = 1.0 if v == m - 1 else 1.0 - np.exp(-alpha_rate * (t[v + 1] - t[v]))
-            w = left * np.exp(-alpha_rate * (t[v] - t[u])) * right
-            rhs += (np.exp(1j * r * (prefix[v + 1] - prefix[u])) - 1.0) * w
+    _, (ii, jj), spans = corr.block_spans(theta, m)
+    weights = espc_weights(alpha_rate, t)[ii, jj]
+    rhs = np.sum((np.exp(1j * r * spans[0]) - 1.0) * weights) - f.sum()
     return complex(lhs), complex(rhs)
 
 
@@ -611,7 +590,8 @@ def remainder_bound_check(sources, grid, theta_vectors=None, enforce_sign=True):
     slopes of max|L| against lam and max|R| against lam and r (where the
     source list varies them), plus the diagnostic pi-based remainder
     E[prod xi] - pi e^{-mu D}, which is nonnegative for every gap pattern.
-    With enforce_sign, the first negative L raises BoundViolationError.
+    With enforce_sign, a negative L raises BoundViolationError naming the
+    source whose L is lowest.
     """
     t = _epochs(grid)
     m = t.size
@@ -623,49 +603,45 @@ def remainder_bound_check(sources, grid, theta_vectors=None, enforce_sign=True):
         theta_vectors = stats.theta_product_grid([[-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]] * m) \
             if m <= 3 else np.eye(m)
     theta_vectors = np.atleast_2d(np.asarray(theta_vectors, dtype=float))
+    sources = list(sources)
     subsets = [sub for k in range(2, m + 1) for sub in combinations(range(m), k)]
-    per_source = []
-    worst_negative = None
-    for src in sources:
-        ratio = src.lam / src.mu
-        l_vals = np.empty(len(subsets))
-        pi_vals = np.empty(len(subsets))
-        for i, sub in enumerate(subsets):
-            moment = src.joint_on_moment(t[list(sub)])
-            span = t[sub[-1]] - t[sub[0]]
-            l_vals[i] = moment - ratio * np.exp(-src.mu * span)
-            pi_vals[i] = moment - src.pi * np.exp(-src.mu * span)
-        fs = np.exp(1j * src.r * theta_vectors) - 1.0     # (M, m)
-        r_vals = np.empty(theta_vectors.shape[0], dtype=complex)
-        for q in range(theta_vectors.shape[0]):
-            acc = (src.pi - ratio) * fs[q].sum()
-            for i, sub in enumerate(subsets):
-                acc += l_vals[i] * np.prod(fs[q, list(sub)])
-            r_vals[q] = acc
-        entry = {
-            "lam": src.lam,
-            "r": src.r,
-            "min_L": float(l_vals.min()),
-            "max_abs_L": float(np.abs(l_vals).max()),
-            "min_pi_remainder": float(pi_vals.min()),
-            "max_abs_R": float(np.abs(r_vals).max()),
-        }
-        per_source.append(entry)
-        if entry["min_L"] < -1e-15 and (
-            worst_negative is None or entry["min_L"] < worst_negative["min_L"]
-        ):
-            worst_negative = entry
-    lam = np.array([e["lam"] for e in per_source])
-    rr = np.array([e["r"] for e in per_source])
-    max_l = np.array([e["max_abs_L"] for e in per_source])
-    max_r = np.array([e["max_abs_R"] for e in per_source])
+    # member[i, g]: epoch g is in subset i; prev[i, g]: the member before a
+    # later member g, else -1.  Arrays run over (sources, subsets) and
+    # (sources, theta rows, subsets); factors enter in epoch order.
+    member = np.zeros((len(subsets), m), dtype=bool)
+    prev = np.full((len(subsets), m), -1)
+    for i, sub in enumerate(subsets):
+        member[i, list(sub)] = True
+        prev[i, list(sub[1:])] = sub[:-1]
+    later = prev >= 0
+    span = t[[sub[-1] for sub in subsets]] - t[[sub[0] for sub in subsets]]
+    lam, mu, rr = (np.array([getattr(src, k) for src in sources], dtype=float)
+                   for k in ("lam", "mu", "r"))
+    pi, ratio = lam / (lam + mu), lam / mu
+    _, p11 = _on_probs(lam[:, None, None], mu[:, None, None],
+                       np.where(later, t - t[np.maximum(prev, 0)], 0.0))
+    moment = pi[:, None] * np.where(later, p11, 1.0).prod(axis=2)
+    decay = np.exp(-mu[:, None] * span)
+    l_vals = moment - ratio[:, None] * decay
+    pi_vals = moment - pi[:, None] * decay
+    fs = np.exp(1j * rr[:, None, None] * theta_vectors) - 1.0
+    prods = np.ones((rr.size, theta_vectors.shape[0], len(subsets)), dtype=complex)
+    for g in range(m):
+        prods *= np.where(member[:, g], fs[:, :, g, None], 1.0)
+    r_vals = (pi - ratio)[:, None] * fs.sum(axis=2) + (l_vals[:, None, :] * prods).sum(axis=2)
+    min_l, max_l = l_vals.min(axis=1), np.abs(l_vals).max(axis=1)
+    max_r = np.abs(r_vals).max(axis=1)
+    per_source = [{"lam": src.lam, "r": src.r, "min_L": float(a), "max_abs_L": float(b),
+                   "min_pi_remainder": float(c), "max_abs_R": float(d)}
+                  for src, a, b, c, d in zip(sources, min_l, max_l, pi_vals.min(axis=1), max_r)]
+    worst = per_source[int(min_l.argmin())]
     report = {
         "sources": per_source,
         "fitted_M": float((max_l / lam**2).max()),
         "fitted_K": float((max_r / (lam**2 * rr)).max()),
-        "min_L": float(min(e["min_L"] for e in per_source)),
-        "min_pi_remainder": float(min(e["min_pi_remainder"] for e in per_source)),
-        "sign_ok": worst_negative is None,
+        "min_L": float(min_l.min()),
+        "min_pi_remainder": float(pi_vals.min()),
+        "sign_ok": not min_l.min() < -1e-15,
     }
 
     def _slope(x, y):
@@ -679,10 +655,10 @@ def remainder_bound_check(sources, grid, theta_vectors=None, enforce_sign=True):
         report["slope_R_lambda"] = _slope(lam, max_r)
     if np.unique(rr).size >= 3 and np.unique(lam).size == 1:
         report["slope_R_r"] = _slope(rr, max_r)
-    if enforce_sign and worst_negative is not None:
+    if enforce_sign and not report["sign_ok"]:
         raise BoundViolationError(
             "joint-moment remainder L is negative for lam="
-            f"{worst_negative['lam']:g} (min L = {worst_negative['min_L']:.3e})",
+            f"{worst['lam']:g} (min L = {worst['min_L']:.3e})",
             details=report,
         )
     return report

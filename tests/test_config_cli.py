@@ -142,8 +142,11 @@ class TestOtherBuilders:
             cfg.array_from_config({"kind": "explicit", "mu": 1.0, "rows": rows})
 
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_json_blocks():
-    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     return [json.loads(b) for b in re.findall(r"```json\n(.*?)```", text, re.S)]
 
 
@@ -159,6 +162,16 @@ def test_readme_json_blocks_build(conf):
         if "thetas" in conf or "theta_grid" in conf:
             built.append(cfg.thetas_from_config(conf, len(conf["grid"])))
     assert built
+
+
+def test_readme_quick_start_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    ns = {}
+    exec(compile(blocks[0], "README.md", "exec"), ns)
+    np.testing.assert_allclose(ns["draws"].mean(axis=0), 2.0, atol=0.05)
+    assert ns["counts"].shape == (50_000, 3)
+    assert ns["rows"].shape == (20_000, 3)
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -579,6 +592,49 @@ class TestCheckArrayAndConvergence:
         assert cli.main(["convergence", "--config", conf, "--out", str(out)]) == 2
         assert "conv.csv" in capsys.readouterr().err
         assert not out.exists()
+
+ASSUMPTION_CONF = {
+    "array": {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
+    "measure": {"kind": "reciprocal", "b": 0.5},
+    "grid": [0.0, 1.0],
+    "n_list": [50, 200],
+    "reps": 200,
+    "seed": 5,
+    "theta_grid": [-1.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("command", ["check-array", "convergence"])
+@pytest.mark.parametrize("field, value", [
+    ("n_list", ["abc", 100]), ("n_list", []), ("n_list", [0]),
+    ("x_probe", "0.5"), ("eps_list", [None]), ("rtol_tail", "x"),
+])
+def test_bad_assumption_setting_refused_before_work(tmp_path, monkeypatch, capsys,
+                                                    command, field, value):
+    calls = _sampler_calls(monkeypatch)
+    conf = write_config(tmp_path, "c.json", dict(ASSUMPTION_CONF, **{field: value}))
+    out = str(tmp_path / "out.json")
+    assert cli.main([command, "--config", conf, "--out", out]) == 2
+    assert f"config error: {field}: expected" in capsys.readouterr().err
+    assert calls == []
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("array", [
+    {"kind": "explicit", "mu": 1.0, "rows": {"2": [[float("nan"), 1.0], [0.2, 0.5]]}},
+    {"kind": "power_example", "mu": float("inf"), "alpha": 0.5, "b": 0.5},
+    {"kind": "explicit", "mu": 1.0, "rows": {"2": [[0.1], [0.2, 0.5]]}},
+    {"kind": "explicit", "mu": 1.0, "rows": {"2": [[0.1, 1.0, 7.0], [0.2, 0.5]]}},
+])
+def test_bad_onoff_array_refused_before_sampling(tmp_path, monkeypatch, capsys, array):
+    calls = _sampler_calls(monkeypatch)
+    conf = write_config(tmp_path, "c.json", dict(TestSimulateOnoff.CONF, array=array, n=2))
+    out = str(tmp_path / "rows.csv")
+    assert cli.main(["simulate-onoff", "--config", conf, "--out", out]) == 2
+    assert "config error: array: " in capsys.readouterr().err
+    assert calls == []
+    assert os.listdir(tmp_path) == ["c.json"]
+
 
 class TestVerifyCommand:
     def test_exit_zero_and_pass_lines(self, capsys):

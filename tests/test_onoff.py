@@ -7,6 +7,8 @@ Oracle hierarchy:
   * hand-computed closed forms for the power-parameterized row family.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -76,12 +78,15 @@ class TestSingleSource:
             assert src.joint_on_moment(epochs) == pytest.approx(expect, abs=1e-14)
 
     def test_joint_log_cf_against_brute_force(self):
-        src = onoff.OnOffSource(lam=0.7, mu=1.3, r=2.0)
-        epochs = [0.0, 0.4, 1.0]
-        theta = np.array([0.9, -0.5, 0.3])
-        expect = brute_joint(
-            src, epochs, lambda s: np.exp(1j * src.r * (theta @ s)))
-        assert np.exp(src.joint_log_cf(epochs, theta)) == pytest.approx(expect, abs=1e-13)
+        # (0.1, 0.9) has pi = 0.1, on the sparse side of the sampler's switch
+        for lam, mu, r in ((0.7, 1.3, 2.0), (0.1, 0.9, 0.6), (2.5, 0.4, 1.7), (3.0, 3.0, 0.05)):
+            src = onoff.OnOffSource(lam=lam, mu=mu, r=r)
+            for epochs, theta in (([0.0, 0.4, 1.0], np.array([0.9, -0.5, 0.3])),
+                                  ([0.2, 0.5, 1.4, 2.0], np.array([1.3, -0.7, 0.0, 2.2]))):
+                expect = brute_joint(
+                    src, epochs, lambda s: np.exp(1j * src.r * (theta @ s)))
+                assert np.exp(src.joint_log_cf(epochs, theta)) == pytest.approx(
+                    expect, abs=1e-13)
 
     def test_simulated_paths_match_chain_statistics(self):
         src = onoff.OnOffSource(lam=1.0, mu=2.0, r=1.5)
@@ -97,9 +102,15 @@ class TestSingleSource:
         got = (on[:, 0] * on[:, 2]).mean()
         assert got == pytest.approx(expect, abs=4 * np.sqrt(expect / n))
 
+    @pytest.mark.parametrize("lam, mu, r", [
+        (0.0, 1.0, 1.0), (np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.nan),
+        (1.0, -np.inf, 1.0),
+    ])
+    def test_parameters_positive_and_finite(self, lam, mu, r):
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            onoff.OnOffSource(lam=lam, mu=mu, r=r)
+
     def test_validation(self):
-        with pytest.raises(PreconditionError):
-            onoff.OnOffSource(lam=0.0, mu=1.0, r=1.0)
         src = onoff.OnOffSource(lam=1.0, mu=1.0, r=1.0)
         with pytest.raises(PreconditionError):
             src.transition_matrix(-0.1)
@@ -134,6 +145,19 @@ class TestArraySpec:
             onoff.OnOffArraySpec("power_example", mu=1.0, alpha_exp=1.5, b=0.5)
         with pytest.raises(PreconditionError):
             onoff.OnOffArraySpec("explicit", mu=1.0, rows={})
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, 0.0])
+    def test_mu_positive_and_finite(self, mu):
+        with pytest.raises(PreconditionError, match="mu must be positive and finite"):
+            onoff.OnOffArraySpec("power_example", mu=mu, alpha_exp=0.5, b=0.5)
+
+    @pytest.mark.parametrize("first, match", [
+        ((np.nan, 1.0), "positive and finite"), ((0.1, np.inf), "positive and finite"),
+        ((0.1,), r"\(lam, r\) pair"), ((0.1, 1.0, 7.0), r"\(lam, r\) pair"),
+    ])
+    def test_explicit_rows_are_finite_pairs(self, first, match):
+        with pytest.raises(PreconditionError, match=match):
+            onoff.OnOffArraySpec("explicit", mu=1.0, rows={2: [first, (0.2, 0.5)]})
 
 
 class TestRowMeasureAndLimits:
@@ -174,6 +198,19 @@ class TestRowMeasureAndLimits:
                 assert emp.first_moment_tail(x) == pytest.approx(fmt, rel=1e-12)
                 assert abs(emp.first_moment_tail(x) - (1 - x) / LN2) <= lam
 
+    def test_row_measure_is_an_atomic_levy_measure(self):
+        emp = onoff.EmpiricalLevyMeasure(lam=np.array([1.0, 2.0, 4.0]),
+                                          r=np.array([0.5, 1.0, 2.0]))
+        assert isinstance(emp, levy.LevyMeasure) and emp.kind == "atomic"
+        np.testing.assert_array_equal(emp.lam, [1.0, 2.0, 4.0])
+        np.testing.assert_array_equal(emp.r, [0.5, 1.0, 2.0])
+        assert emp.tail(1.0) == 6.0
+        assert emp.first_moment_tail(1.0) == 10.0
+        assert emp.moment_sum(2) == emp.moment(2) == 0.25 + 2.0 + 16.0
+        # small jumps take the atom at eps; the levy truncation stops below it
+        assert emp.small_jump_first_moment(1.0) == 2.5
+        assert emp.truncated_first_moment(1.0) == 0.5
+
     def test_small_jump_sums(self):
         for eps in (0.1, 0.05):
             val = onoff.c2_small_jump_sum(self.spec, 10_000, eps)
@@ -213,7 +250,8 @@ class TestRowCfAndSuperposition:
         slow = np.zeros(2, dtype=complex)
         for src in self.spec.sources(50):
             for q in range(2):
-                slow[q] += src.joint_log_cf(self.grid, thetas[q])
+                slow[q] += np.log(brute_joint(
+                    src, self.grid.t, lambda s: np.exp(1j * src.r * (thetas[q] @ s))))
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_superpose_matches_row_cf(self):
@@ -524,7 +562,79 @@ class TestPairedExponentIdentity:
                 13, np.zeros(13), np.arange(13.0), alpha_rate=1.0, r=0.5)
 
 
+def reference_remainders(sources, t, theta_vectors):
+    """Per-source, per-subset, per-theta loop over the remainders L, the
+    pi-remainder and R; returns (per-source entries, message or None) as
+    remainder_bound_check reports and raises them."""
+    subsets = [sub for k in range(2, t.size + 1)
+               for sub in itertools.combinations(range(t.size), k)]
+    entries, worst = [], None
+    for src in sources:
+        ratio = src.lam / src.mu
+        l_vals, pi_vals = [], []
+        for sub in subsets:
+            moment = src.joint_on_moment(t[list(sub)])
+            decay = np.exp(-src.mu * (t[sub[-1]] - t[sub[0]]))
+            l_vals.append(moment - ratio * decay)
+            pi_vals.append(moment - src.pi * decay)
+        fs = np.exp(1j * src.r * theta_vectors) - 1.0
+        r_vals = []
+        for q in range(theta_vectors.shape[0]):
+            acc = (src.pi - ratio) * fs[q].sum()
+            for l_val, sub in zip(l_vals, subsets):
+                acc += l_val * np.prod(fs[q, list(sub)])
+            r_vals.append(acc)
+        entry = {"lam": src.lam, "r": src.r, "min_L": min(l_vals),
+                 "max_abs_L": max(map(abs, l_vals)), "min_pi_remainder": min(pi_vals),
+                 "max_abs_R": max(map(abs, r_vals))}
+        entries.append(entry)
+        if entry["min_L"] < -1e-15 and (worst is None or entry["min_L"] < worst["min_L"]):
+            worst = entry
+    message = None if worst is None else (
+        f"joint-moment remainder L is negative for lam={worst['lam']:g} "
+        f"(min L = {worst['min_L']:.3e})")
+    return entries, message
+
+
+def remainder_cases():
+    """Criterion 09's two sweeps on its grid, and 7 random sources on 5 epochs."""
+    grid = corr.TimeGrid((0.0, 0.7, 1.5))
+    rng = np.random.default_rng(609)
+    return [
+        ([onoff.OnOffSource(lam, 1.0, 0.5) for lam in np.logspace(-4, -2, 6)], grid),
+        ([onoff.OnOffSource(0.01, 1.0, r) for r in np.logspace(-3, -1, 6)], grid),
+        ([onoff.OnOffSource(10 ** rng.uniform(-3, 0.5), 10 ** rng.uniform(-1, 0.5),
+                            rng.uniform(0.1, 2.0)) for _ in range(7)],
+         corr.TimeGrid(np.sort(rng.uniform(0.0, 3.0, 5)))),
+    ]
+
+
 class TestRemainders:
+    @pytest.mark.parametrize("case", range(3))
+    def test_matches_per_source_loop(self, case):
+        sources, grid = remainder_cases()[case]
+        m = len(grid)
+        thetas = stats.theta_product_grid([[-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]] * m) \
+            if m <= 3 else np.eye(m)
+        entries, message = reference_remainders(sources, grid.t, thetas)
+        rep = onoff.remainder_bound_check(sources, grid, enforce_sign=False)
+        assert [set(e) for e in rep["sources"]] == [set(e) for e in entries]
+        for got, want in zip(rep["sources"], entries):
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-13, abs=0), key
+        assert rep["min_L"] == pytest.approx(min(e["min_L"] for e in entries), rel=1e-13)
+        assert rep["min_pi_remainder"] == pytest.approx(
+            min(e["min_pi_remainder"] for e in entries), rel=1e-13)
+        lam, r = (np.array([e[k] for e in entries]) for k in ("lam", "r"))
+        max_l, max_r = (np.array([e[k] for e in entries]) for k in ("max_abs_L", "max_abs_R"))
+        assert rep["fitted_M"] == pytest.approx((max_l / lam**2).max(), rel=1e-13)
+        assert rep["fitted_K"] == pytest.approx((max_r / (lam**2 * r)).max(), rel=1e-13)
+        assert rep["sign_ok"] is (message is None)
+        assert message is not None
+        with pytest.raises(BoundViolationError) as exc:
+            onoff.remainder_bound_check(sources, grid)
+        assert str(exc.value) == message
+
     def test_pi_remainder_never_negative(self):
         # E[prod xi] - pi e^{-mu D} >= 0 across regimes; this is the
         # provable variant of the subset-remainder sign claim
