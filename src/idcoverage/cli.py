@@ -20,6 +20,7 @@ from .errors import BoundViolationError, PreconditionError, QuadratureError
 
 _DEFAULT_THETA = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
 _DEFAULT_THETA_MAX_EPOCHS = 6   # 6^6 = 46,656 default theta vectors
+_CSV_BLOCK_ROWS = 4096          # rows per format call: a few MB of strings at most
 _ASSUMPTION_DEFAULTS = {"n_list": [100, 1000, 10000], "x_probe": [0.25, 0.5, 0.75],
                         "eps_list": [0.1, 0.05], "rtol_tail": 0.02}
 # every top-level config field some command reads; any other is refused
@@ -128,14 +129,24 @@ def _emit_json(args, obj):
 
 def _write_csv(path, arr, force, header=None):
     """Write ``arr`` as CSV under ``header``, by default x1..xn: integers
-    as %d, floats as %.17g."""
+    as %d, floats as %.17g.  The bytes are those np.savetxt writes, which
+    applies the same ``%`` format one row at a time; here one ``%`` call
+    formats a whole block of _CSV_BLOCK_ROWS rows."""
     _guard_out(path, force)
     arr = np.atleast_2d(arr)
     if header is None:
         header = ",".join(f"x{k + 1}" for k in range(arr.shape[1]))
-    _replace_into(path, lambda fh: np.savetxt(
-        fh, arr, delimiter=",", header=header, comments="",
-        fmt="%d" if np.issubdtype(arr.dtype, np.integer) else "%.17g"))
+    fmt = "%d" if np.issubdtype(arr.dtype, np.integer) else "%.17g"
+    line = ",".join([fmt] * arr.shape[1]) + "\n"
+
+    def write(fh):
+        if header:
+            fh.write(header + "\n")
+        for start in range(0, arr.shape[0], _CSV_BLOCK_ROWS):
+            block = arr[start:start + _CSV_BLOCK_ROWS]
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+
+    _replace_into(path, write)
 
 
 def _thetas(conf, n):

@@ -135,7 +135,8 @@ def grid_from_config(seq, path="grid"):
 
 def thetas_from_config(d, n, path=""):
     """Explicit theta vectors under "thetas", or a per-coordinate product
-    grid under "theta_grid" (a single list is broadcast to all coordinates)."""
+    grid under "theta_grid" (a single list is broadcast to all coordinates).
+    Every value must be a finite number."""
     loc = f"{path}thetas" if "thetas" in d else f"{path}theta_grid"
     if "thetas" in d:
         rows = d["thetas"]
@@ -143,11 +144,10 @@ def thetas_from_config(d, n, path=""):
             raise ConfigError(f"{loc}: expected a nonempty list")
         if not isinstance(rows[0], list):
             rows = [[v] for v in rows] if n == 1 else [rows]
-        arr = np.asarray(rows, dtype=float)
+        arr = _wrap(loc, np.asarray, rows, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != n:
             raise ConfigError(f"{loc}: each theta vector must have length {n}")
-        return arr
-    if "theta_grid" in d:
+    elif "theta_grid" in d:
         per = d["theta_grid"]
         if not isinstance(per, list) or not per:
             raise ConfigError(f"{loc}: expected a nonempty list")
@@ -155,5 +155,9 @@ def thetas_from_config(d, n, path=""):
             per = [per] * n
         if len(per) != n:
             raise ConfigError(f"{loc}: need one coordinate grid per epoch ({n})")
-        return stats.theta_product_grid(per)
-    raise ConfigError(f"{path}thetas/theta_grid: one of the two is required")
+        arr = _wrap(loc, stats.theta_product_grid, per)
+    else:
+        raise ConfigError(f"{path}thetas/theta_grid: one of the two is required")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{loc}: expected finite numbers, got {arr[~np.isfinite(arr)][0]}")
+    return arr

@@ -21,7 +21,6 @@ deterministically).
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import PreconditionError, QuadratureError, UnsupportedMomentError
 
@@ -32,6 +31,8 @@ _INVCDF_GRID = 8192
 
 def _quad(f, a, b, points=None):
     """Adaptive quadrature with a hard failure on non-convergence."""
+    from scipy import integrate  # imported here: runs that never integrate skip it
+
     kwargs = dict(epsabs=_QUAD_ATOL, epsrel=_QUAD_RTOL, limit=400, full_output=1)
     if points is not None and np.isfinite([a, b]).all():
         kwargs["points"] = points
@@ -315,6 +316,8 @@ class LevyExponent:
     def _jump_table(self):
         """Inverse CDF of the eps-truncated jump-size law (density kind)."""
         if self._invcdf is None:
+            from scipy import integrate
+
             nu = self.measure
             lo = max(nu.lower, self.trunc_eps)
             if lo >= nu.upper:

@@ -360,7 +360,9 @@ def check_assumptions(spec, n_list, x_probe, eps_list, nu, rtol_tail=0.02):
     Evaluates, per row n: the largest individual rate, small-jump first
     moments at each eps, the p-th moment sums for p = 1..4, and tail /
     first-moment-tail values at each probe point, comparing the last row
-    against the limit measure's values.  Report only; nothing raises.
+    against the limit measure's values.  A1 needs two distinct row sizes;
+    with fewer its pass is None, and the top-level pass is taken over the
+    assumptions whose pass is not None.  Report only; nothing raises.
     """
     n_list = sorted(int(n) for n in n_list)
     x_probe = [float(x) for x in x_probe]
@@ -382,8 +384,8 @@ def check_assumptions(spec, n_list, x_probe, eps_list, nu, rtol_tail=0.02):
         "n": n_list,
         "A1": {
             "max_lambda": max_lam,
-            "pass": all(b <= a + 1e-15 for a, b in zip(max_lam, max_lam[1:]))
-            and max_lam[-1] < max_lam[0],
+            "pass": (all(b <= a + 1e-15 for a, b in zip(max_lam, max_lam[1:]))
+                     and max_lam[-1] < max_lam[0]) if len(set(n_list)) > 1 else None,
         },
         "A2": {
             "eps": eps_list,
@@ -420,7 +422,10 @@ def check_assumptions(spec, n_list, x_probe, eps_list, nu, rtol_tail=0.02):
     }
     report["A4"]["pass"] = all(v <= rtol_tail for v in report["A4"]["rel_err"].values())
     report["A6"]["pass"] = all(v <= rtol_tail for v in report["A6"]["rel_err"].values())
-    report["pass"] = all(report[k]["pass"] for k in ("A1", "A2", "A3", "A4", "A5", "A6"))
+    if report["A1"]["pass"] is None:
+        report["A1"]["note"] = "one row size cannot show a decreasing largest rate"
+    report["pass"] = all(report[k]["pass"] for k in ("A1", "A2", "A3", "A4", "A5", "A6")
+                         if report[k]["pass"] is not None)
     return report
 
 

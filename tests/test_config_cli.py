@@ -10,6 +10,8 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,6 +225,14 @@ SAMPLE_CONF = {
 }
 
 
+NONFINITE_THETAS = [
+    ("thetas", [[float("nan"), 1.0]]),
+    ("thetas", [[1.0, float("inf")]]),
+    ("theta_grid", [-1.0, float("-inf")]),
+    ("theta_grid", [[1.0], [float("nan")]]),
+]
+
+
 class TestCfEval:
     def test_poisson_at_pi_prints_minus_two(self, tmp_path, capsys):
         conf = write_config(tmp_path, "c.json", {
@@ -278,6 +288,19 @@ class TestCfEval:
         })
         assert cli.main(["cf-eval", "--config", conf]) == 2
         assert "theta_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", NONFINITE_THETAS)
+    def test_nonfinite_theta_exit_code(self, tmp_path, capsys, field, value):
+        conf = write_config(tmp_path, "c.json", {
+            "law": {"kind": "poisson", "rate": 1.0},
+            "structure": {"kind": "exponential", "mu": 1.0},
+            "grid": [0.0, 1.0],
+            field: value,
+        })
+        assert cli.main(["cf-eval", "--config", conf]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {field}: expected finite numbers" in captured.err
+        assert captured.out == ""
 
 
 def _sampler_calls(monkeypatch):
@@ -360,12 +383,31 @@ class TestSample:
         assert not filecmp.cmp(a, c, shallow=False)
 
     def test_failed_csv_write_leaves_no_file(self, tmp_path, monkeypatch):
-        def half_write(target, arr, **kwargs):
-            fh = open(target, "w") if isinstance(target, str) else target
-            fh.write("x1,x2\n")
-            fh.flush()
-            raise OSError("disk full")
-        monkeypatch.setattr(np, "savetxt", half_write)
+        class HalfWritten:
+            """A file whose second write, the first row block after the
+            header, lands half and then fails."""
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes < 2:
+                    return self.fh.write(text)
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: HalfWritten(open(*a, **k)),
+                            raising=False)
         conf = write_config(tmp_path, "c.json", dict(SAMPLE_CONF, reps=20))
         with pytest.raises(OSError, match="disk full"):
             cli.main(["sample", "--config", conf, "--out", str(tmp_path / "draws.csv")])
@@ -392,6 +434,58 @@ class TestSample:
         out = str(tmp_path / "draws.csv")
         assert cli.main(["sample", "--config", conf, "--out", out]) == 2
         assert "reps" in capsys.readouterr().err
+
+
+def _savetxt_reference(path, arr, header=None):
+    """What _write_csv wrote through np.savetxt, row by row."""
+    arr = np.atleast_2d(arr)
+    if header is None:
+        header = ",".join(f"x{k + 1}" for k in range(arr.shape[1]))
+    np.savetxt(path, arr, delimiter=",", header=header, comments="",
+               fmt="%d" if np.issubdtype(arr.dtype, np.integer) else "%.17g")
+
+
+_CSV_CASES = {
+    "int64 extremes": (np.array([[0, -1, 2**62], [-2**62, 7, -123456789]], dtype=np.int64),
+                       None),
+    "float specials": (np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1e308]]), None),
+    "no rows": (np.empty((0, 3)), None),
+    "one column": (np.linspace(-1.0, 1.0, 7)[:, None] / 3.0, None),
+    "block - 1 rows": (np.random.default_rng(1).normal(size=(4095, 2)), None),
+    "block rows": (np.random.default_rng(2).integers(-50, 50, size=(4096, 3)), None),
+    "block + 1 rows": (np.random.default_rng(3).normal(size=(4097, 2)), None),
+    "custom header": (np.random.default_rng(4).normal(size=(5, 4)), "n,sup,l2,analytic_bias"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CSV_CASES))
+def test_write_csv_matches_savetxt(tmp_path, case):
+    arr, header = _CSV_CASES[case]
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    cli._write_csv(str(out), arr, force=False, header=header)
+    _savetxt_reference(str(ref), arr, header)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_import_leaves_scipy_unloaded():
+    """Importing the package or its CLI does not load scipy; the first
+    quadrature does, with the same result."""
+    code = ("import sys\n"
+            "import idcoverage\n"
+            "assert 'scipy' not in sys.modules, 'idcoverage'\n"
+            "import idcoverage.cli\n"
+            "assert 'scipy' not in sys.modules, 'idcoverage.cli'\n"
+            "from idcoverage import levy\n"
+            "law = levy.spectrally_positive(levy.reciprocal_measure(0.5))\n"
+            "print(repr(complex(law.eval(1.0))))\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env)
+    assert res.returncode == 0, res.stderr
+    law = levy.spectrally_positive(levy.reciprocal_measure(0.5))
+    assert complex(res.stdout) == complex(law.eval(1.0))
 
 
 class TestSimulateCoverage:
@@ -480,6 +574,23 @@ class TestSimulateCoverage:
         assert calls == []
         assert os.listdir(tmp_path) == ["c.json"]
 
+    @pytest.mark.parametrize("field, value", NONFINITE_THETAS)
+    def test_nonfinite_theta_refused_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                     field, value):
+        calls = _sampler_calls(monkeypatch)
+        conf = write_config(tmp_path, "c.json", {
+            "arrival_rate": 1.0,
+            "service": {"kind": "exponential", "rate": 1.0},
+            "grid": [0.0, 1.0],
+            "reps": 400,
+            field: value,
+        })
+        out = str(tmp_path / "counts.csv")
+        assert cli.main(["simulate-coverage", "--config", conf, "--out", out]) == 2
+        assert f"config error: {field}: expected finite numbers" in capsys.readouterr().err
+        assert calls == []
+        assert os.listdir(tmp_path) == ["c.json"]
+
     def test_default_theta_grid_capped_before_sampling(self, tmp_path, capsys):
         conf = write_config(tmp_path, "c.json", {
             "arrival_rate": 1.0,
@@ -540,6 +651,20 @@ class TestCheckArrayAndConvergence:
         report = json.loads(open(out).read())
         assert report["pass"] is True
         assert report["A3"]["pass"] is True
+
+    def test_check_array_one_row_leaves_a1_open(self, tmp_path):
+        conf = write_config(tmp_path, "c.json", {
+            "array": {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
+            "measure": {"kind": "reciprocal", "b": 0.5},
+            "n_list": [10000],
+        })
+        out = str(tmp_path / "report.json")
+        assert cli.main(["check-array", "--config", conf, "--out", out]) == 0
+        report = json.loads(open(out).read())
+        assert report["A1"]["pass"] is None
+        assert "one row size" in report["A1"]["note"]
+        assert all(report[k]["pass"] is True for k in ("A2", "A3", "A4", "A5", "A6"))
+        assert report["pass"] is True
 
     def test_convergence_artifacts(self, tmp_path):
         conf = write_config(tmp_path, "c.json", {
