@@ -226,14 +226,6 @@ class WeightMatrix:
         """sum over i <= k <= j of a[i,j]; equals 1 for weights of a structure."""
         return float(self.a[: k + 1, k:].sum())
 
-    def to_csv(self, path):
-        lines = ["i,j,a"]
-        for i in range(self.n):
-            for j in range(i, self.n):
-                lines.append(f"{i + 1},{j + 1},{float(self.a[i, j])!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def _four_point(inner, pad):
     """Upper triangle of the four-point difference of a padded matrix.

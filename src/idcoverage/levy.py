@@ -12,6 +12,20 @@ Supported families:
 * ``spectrally_positive(measure)`` psi(t) = int (e^{itx} - 1) measure(dx)
   over (0, inf), requiring a finite first moment so no compensator is needed.
 
+Jump measures are atomic, a density on (lo, hi], or ``reciprocal_measure``:
+c/x on (0, 1] with c = 1/log(1/b), the limit measure of the ON/OFF arrays.
+The reciprocal kind is closed-form throughout, so no quadrature runs and
+scipy is never imported for it:
+
+* tail(x) = c*log(1/x) on (0, 1], inf at x <= 0
+* int x^q = c/q, int_[x, 1] y = c*(1 - x), int_(0, eps) y = c*eps
+* psi(t) = c*(-Cin(|t|) + i*sign(t)*Si(|t|)), with Cin and Si from power
+  series up to 4 and a continued fraction for E1(ix) beyond (Abramowitz &
+  Stegun 5.2; ``cisi`` in Press et al., Numerical Recipes)
+* jumps of the eps-truncated law are eps**(1 - U), U uniform
+
+Only densities integrate by quadrature, importing scipy at their first call.
+
 Each law knows its first/second/fourth cumulants and can draw the increment
 over an interval of length ``t`` exactly (or, for infinite-activity jump
 measures, to a controlled truncation ``eps`` with the dropped mean added back
@@ -27,6 +41,9 @@ from .errors import PreconditionError, QuadratureError, UnsupportedMomentError
 _QUAD_RTOL = 1e-10
 _QUAD_ATOL = 1e-14
 _INVCDF_GRID = 8192
+_SERIES_MAX = 4.0  # Cin and Si by power series up to here, a continued fraction beyond
+_SERIES_TERMS = 20  # the last term at x = 4 is below 1e-21
+_CF_MAXIT = 100  # the continued fraction converges in under 70 steps for x > 4
 
 
 def _quad(f, a, b, points=None):
@@ -47,8 +64,52 @@ def _quad(f, a, b, points=None):
     return val
 
 
+def _cin_si(x):
+    """Cin(x) = int_0^x (1 - cos t)/t dt and Si(x) = int_0^x sin t/t dt for x >= 0.
+
+    Power series up to 4: Cin is summed directly, never as gamma + log x - Ci,
+    which cancels at small x.  Beyond 4, the modified Lentz continued
+    fraction for E1(ix) gives Ci = -Re E1(ix) and Si = pi/2 + Im E1(ix).
+    Elementwise over an array, with no Python loop over its entries.
+    """
+    x = np.asarray(x, dtype=float)
+    cin, si = np.zeros(x.shape), np.zeros(x.shape)
+    small = x <= _SERIES_MAX
+
+    xs = x[small]
+    odd = xs.copy()  # (-1)^k x^(2k+1)/(2k+1)!, k = 0
+    s, c = xs.copy(), np.zeros(xs.shape)
+    for k in range(1, _SERIES_TERMS):
+        even = odd * xs / (2 * k)  # (-1)^(k-1) x^(2k)/(2k)!
+        c += even / (2 * k)
+        odd = -even * xs / (2 * k + 1)
+        s += odd / (2 * k + 1)
+    cin[small], si[small] = c, s
+
+    xl = x[~small]
+    b = 1.0 + 1j * xl
+    d = h = 1.0 / b
+    lentz_c = np.full(xl.shape, 1.0 / np.finfo(float).tiny, dtype=complex)
+    done = np.zeros(xl.shape, dtype=bool)
+    for i in range(2, _CF_MAXIT):
+        if done.all():
+            break
+        a = -(i - 1.0) ** 2
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        lentz_c = b + a / lentz_c
+        step = lentz_c * d
+        h = np.where(done, h, h * step)
+        done |= np.abs(step - 1.0) <= np.finfo(float).eps
+    e1 = (np.cos(xl) - 1j * np.sin(xl)) * h  # E1(ix)
+    cin[~small] = np.euler_gamma + np.log(xl) + e1.real
+    si[~small] = 0.5 * np.pi + e1.imag
+    return cin, si
+
+
 class LevyMeasure:
-    """A measure on (0, inf): finitely many atoms, or a density on (lo, hi].
+    """A measure on (0, inf): finitely many atoms, a density on (lo, hi], or
+    the reciprocal measure c/x on (0, 1].
 
     Density supports must have a finite upper endpoint; every measure this
     package needs lives on a bounded interval.  The density may blow up at
@@ -56,7 +117,7 @@ class LevyMeasure:
     """
 
     def __init__(self, kind, *, locations=None, masses=None,
-                 density=None, lower=None, upper=None):
+                 density=None, lower=None, upper=None, c=None):
         if kind == "atomic":
             locations = np.asarray(locations, dtype=float)
             masses = np.asarray(masses, dtype=float)
@@ -73,6 +134,10 @@ class LevyMeasure:
             if not (0 <= lower < upper < np.inf):
                 raise PreconditionError("need 0 <= lower < upper < inf")
             self.density, self.lower, self.upper = density, float(lower), float(upper)
+        elif kind == "reciprocal":
+            if c is None or not 0 < c < np.inf:
+                raise PreconditionError("reciprocal kind needs a finite constant c > 0")
+            self.c, self.lower, self.upper = float(c), 0.0, 1.0
         else:
             raise PreconditionError(f"unknown measure kind {kind!r}")
         self.kind = kind
@@ -93,21 +158,24 @@ class LevyMeasure:
         a, b = max(self.lower, lo), min(self.upper, hi)
         if a >= b:
             return 0.0
-        return _quad(lambda x: x**q * self.density(x), a, b)
+        if self.kind == "density":
+            return _quad(lambda x: x**q * self.density(x), a, b)
+        # reciprocal: int_a^b x^q * c/x dx
+        if a == 0.0 and q <= 0:
+            return np.inf
+        if q == 0:
+            return self.c * math.log(b / a)
+        return self.c * (b**q - a**q) / q
 
     def moment(self, q):
         """int x^q d(measure); q = 1 must be finite for a law to be built."""
         return self._integral(q, 0.0, np.inf)
 
     def tail(self, x):
-        """Mass of [x, inf); inf at or below the lower end of a density whose
-        mass there does not integrate, as for an infinite-activity measure."""
-        try:
-            return self._integral(0, x, np.inf)
-        except QuadratureError:
-            if self.kind == "density" and x <= self.lower:
-                return np.inf
-            raise
+        """Mass of [x, inf); inf where it diverges, as at or below 0 for the
+        reciprocal measure.  A density whose tail quadrature fails raises
+        QuadratureError."""
+        return self._integral(0, x, np.inf)
 
     def first_moment_tail(self, x):
         """int_{[x, inf)} y d(measure)."""
@@ -123,12 +191,27 @@ class LevyMeasure:
             raise PreconditionError("scale factor must be positive")
         if self.kind == "atomic":
             return LevyMeasure("atomic", locations=self.locations, masses=c * self.masses)
+        if self.kind == "reciprocal":
+            return LevyMeasure("reciprocal", c=c * self.c)
         f = self.density
         return LevyMeasure("density", density=lambda x, _f=f, _c=c: _c * _f(x),
                            lower=self.lower, upper=self.upper)
 
     def exponent_value(self, theta):
-        """int (e^{i theta x} - 1) d(measure) for scalar theta."""
+        """int (e^{i theta x} - 1) d(measure), elementwise over a theta array;
+        a complex for a scalar theta."""
+        theta = np.asarray(theta, dtype=float)
+        if self.kind == "reciprocal":
+            cin, si = _cin_si(np.abs(theta))
+            out = np.empty(theta.shape, dtype=complex)
+            out.real = 0.0 - self.c * cin  # +0, not -0, at theta = 0
+            out.imag = self.c * np.sign(theta) * si
+        else:
+            out = np.array([self._exponent_at(t) for t in theta.ravel()],
+                           dtype=complex).reshape(theta.shape)
+        return out if out.ndim else complex(out)
+
+    def _exponent_at(self, theta):
         if self.kind == "atomic":
             return complex(np.sum(self.masses * (np.exp(1j * theta * self.locations) - 1.0)))
         if theta == 0.0:
@@ -140,14 +223,16 @@ class LevyMeasure:
 
 
 def reciprocal_measure(b):
-    """Density 1/(x*log(1/b)) on (0, 1]; infinite activity, unit-free tails.
+    """The measure c/x on (0, 1] with c = 1/log(1/b); infinite activity,
+    unit-free tails.
 
-    Tail mass of [x, 1] is log(1/x)/log(1/b) and int x^p is 1/(p*log(1/b)).
+    Every functional is a closed form, and none runs quadrature: the tail
+    mass of [x, 1] is c*log(1/x), int x^q is c/q, int_[x, 1] y is c*(1 - x),
+    int_(0, eps) y is c*eps, and the exponent is c*(-Cin(|t|) + i*sign(t)*Si(|t|)).
     """
     if not 0.0 < b < 1.0:
         raise PreconditionError("b must lie in (0, 1)")
-    c = 1.0 / np.log(1.0 / b)
-    return LevyMeasure("density", density=lambda x, _c=c: _c / x, lower=0.0, upper=1.0)
+    return LevyMeasure("reciprocal", c=1.0 / np.log(1.0 / b))
 
 
 class MarkDistribution:
@@ -283,9 +368,7 @@ class LevyExponent:
         elif self.kind == "gamma":
             out = -np.log(1.0 - 1j * th)  # principal branch; Re(1 - it) = 1 > 0
         else:
-            flat = th.ravel()
-            out = np.array([self.measure.exponent_value(t) for t in flat])
-            out = out.reshape(th.shape)
+            out = self.measure.exponent_value(th)
         out = out.astype(complex)
         return complex(out[0]) if scalar else out.reshape(theta.shape)
 
@@ -314,22 +397,29 @@ class LevyExponent:
     # ---- sampling ----------------------------------------------------
 
     def _jump_table(self):
-        """Inverse CDF of the eps-truncated jump-size law (density kind)."""
+        """(inverse CDF, rate, compensator mean) of the eps-truncated jump law:
+        exactly eps**(1 - u) for the reciprocal kind, and a table on a
+        geometric grid for a density."""
         if self._invcdf is None:
-            from scipy import integrate
-
-            nu = self.measure
-            lo = max(nu.lower, self.trunc_eps)
+            nu, eps = self.measure, self.trunc_eps
+            lo = max(nu.lower, eps)
             if lo >= nu.upper:
                 raise PreconditionError("truncation removes the whole support")
-            # geometric grid resolves the near-zero blowup of 1/x-type densities
-            grid = np.geomspace(lo, nu.upper, _INVCDF_GRID)
-            pdf = np.array([nu.density(x) for x in grid])
-            cdf = integrate.cumulative_trapezoid(pdf, grid, initial=0.0)
-            cdf /= cdf[-1]
-            rate = nu.tail(lo)
-            comp = nu.truncated_first_moment(self.trunc_eps)
-            self._invcdf = (cdf, grid, rate, comp)
+            if nu.kind == "reciprocal":
+                def invcdf(u):
+                    return eps ** (1.0 - u)
+            else:
+                from scipy import integrate  # only densities integrate
+
+                # geometric grid resolves the near-zero blowup of 1/x-type densities
+                grid = np.geomspace(lo, nu.upper, _INVCDF_GRID)
+                pdf = np.array([nu.density(x) for x in grid])
+                cdf = integrate.cumulative_trapezoid(pdf, grid, initial=0.0)
+                cdf /= cdf[-1]
+
+                def invcdf(u):
+                    return np.interp(u, cdf, grid)
+            self._invcdf = (invcdf, nu.tail(lo), nu.truncated_first_moment(eps))
         return self._invcdf
 
     def truncation_info(self):
@@ -339,15 +429,15 @@ class LevyExponent:
         if self.measure.kind == "atomic":
             return {"eps": 0.0, "rate": float(self.measure.masses.sum()),
                     "compensator_mean": 0.0}
-        cdf, grid, rate, comp = self._jump_table()
+        _, rate, comp = self._jump_table()
         return {"eps": self.trunc_eps, "rate": rate, "compensator_mean": comp}
 
     def sample_increment(self, t, rng, size=None):
         """Draw the increment over an interval of length t.
 
         Returns a scalar for size=None, else an ndarray of that shape.
-        The interface is exact for every kind except density-type jump
-        measures with infinite activity, where jumps below ``trunc_eps``
+        The interface is exact for every kind except reciprocal and density
+        jump measures with infinite activity, where jumps below ``trunc_eps``
         are dropped and their exact mean ``t * int_0^eps x nu(dx)`` is
         added back deterministically.
         """
@@ -372,11 +462,11 @@ class LevyExponent:
             out = counts @ locs if counts.ndim else float(counts * locs)
             out = np.asarray(out, dtype=float)
         else:
-            cdf, grid, rate, comp = self._jump_table()
+            invcdf, rate, comp = self._jump_table()
             counts = np.atleast_1d(rng.poisson(rate * t, size=shape))
             total = int(counts.sum())
-            jumps = np.interp(rng.uniform(size=total), cdf, grid)
-            owner = np.repeat(np.arange(counts.size), counts)
+            jumps = invcdf(rng.uniform(size=total))
+            owner = np.repeat(np.arange(counts.size), counts.ravel())
             flat = np.bincount(owner, weights=jumps, minlength=counts.size)
             out = flat.reshape(shape) + t * comp
         if size is None:

@@ -476,16 +476,48 @@ def test_import_leaves_scipy_unloaded():
             "import idcoverage.cli\n"
             "assert 'scipy' not in sys.modules, 'idcoverage.cli'\n"
             "from idcoverage import levy\n"
-            "law = levy.spectrally_positive(levy.reciprocal_measure(0.5))\n"
+            "nu = levy.LevyMeasure.from_density(lambda x: 1.0 / x, 0.0, 1.0)\n"
+            "law = levy.spectrally_positive(nu)\n"
+            "assert 'scipy' in sys.modules, 'first quadrature'\n"
             "print(repr(complex(law.eval(1.0))))\n")
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env)
+                         env=_src_env())
     assert res.returncode == 0, res.stderr
-    law = levy.spectrally_positive(levy.reciprocal_measure(0.5))
+    law = levy.spectrally_positive(
+        levy.LevyMeasure.from_density(lambda x: 1.0 / x, 0.0, 1.0))
     assert complex(res.stdout) == complex(law.eval(1.0))
+
+
+def test_reciprocal_measure_runs_leave_scipy_unloaded(tmp_path):
+    """The reciprocal measure is closed-form: a convergence and a check-array
+    run on it never import scipy."""
+    conf = write_config(tmp_path, "c.json", {
+        "array": {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
+        "measure": {"kind": "reciprocal", "b": 0.5},
+        "grid": [0.0, 1.0],
+        "n_list": [50, 200],
+        "reps": 200,
+        "seed": 5,
+        "theta_grid": [-1.0, 1.0],
+    })
+    conv, check = str(tmp_path / "conv.json"), str(tmp_path / "check.json")
+    code = ("import sys\n"
+            "from idcoverage.cli import main\n"
+            f"assert main(['convergence', '--config', {conf!r}, '--out', {conv!r}]) == 0\n"
+            f"assert main(['check-array', '--config', {conf!r}, '--out', {check!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_src_env())
+    assert res.returncode == 0, res.stderr
+    assert [r["n"] for r in json.loads((tmp_path / "conv.json").read_text())["rows"]] == [50, 200]
+    assert "A4" in json.loads((tmp_path / "check.json").read_text())
+
+
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 class TestSimulateCoverage:

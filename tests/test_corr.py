@@ -168,17 +168,6 @@ def test_weights_three_epochs_power():
     np.testing.assert_allclose(w.a, expect, atol=1e-15)
 
 
-def test_weight_matrix_csv_roundtrip(tmp_path):
-    w = corr.weights(corr.exponential_structure(1.0), corr.TimeGrid([0.0, 1.0]))
-    path = tmp_path / "w.csv"
-    w.to_csv(path)
-    body = path.read_text().strip().splitlines()
-    assert body[0].split(",")[:2] == ["i", "j"] and len(body[0].split(",")) == 3
-    rows = [line.split(",") for line in body[1:]]
-    assert [(r[0], r[1]) for r in rows] == [("1", "1"), ("1", "2"), ("2", "2")]
-    assert float(rows[0][2]) == w.a[0, 0]
-
-
 def test_convex_structure_raises_concavity_error():
     class Convex:
         def eval(self, t):

@@ -195,8 +195,94 @@ class TestReciprocalMeasure:
 
     def test_scale(self):
         doubled = self.nu.scale(2.0)
+        assert doubled.kind == "reciprocal" and doubled.c == 2.0 * self.c
         assert doubled.moment(1) == pytest.approx(2.0 * self.c, rel=1e-10)
         assert doubled.tail(0.5) == pytest.approx(2.0 * self.c * np.log(2.0), rel=1e-10)
+
+    def test_declared_kind_carries_its_constant(self):
+        assert self.nu.kind == "reciprocal" and self.nu.c == self.c
+        for bad in (0.0, -1.0, np.inf, None):
+            with pytest.raises(PreconditionError):
+                levy.LevyMeasure("reciprocal", c=bad)
+
+    @pytest.mark.parametrize("theta", [0.3, 5.0, 50.0, -7.5, 1e3])
+    def test_exponent_against_density_oracle(self, theta):
+        # the same measure as a generic density, integrated by quadrature
+        oracle = levy.LevyMeasure.from_density(lambda x: self.c / x, 0.0, 1.0)
+        assert abs(self.nu.exponent_value(theta) - oracle.exponent_value(theta)) <= 1e-12
+
+    def test_exponent_is_conjugate_symmetric_and_vectorized(self):
+        theta = np.array([0.3, 5.0, 50.0, 7.5, 1e3, 0.0])
+        law = levy.spectrally_positive(self.nu)
+        pos, neg = law.eval(theta), law.eval(-theta)
+        assert np.array_equal(neg, np.conj(pos))
+        assert [law.eval(t) for t in theta] == list(pos)
+
+    @pytest.mark.parametrize("theta", [1e4, -1e4, 1e5, -1e5])
+    def test_exponent_finite_where_quadrature_fails(self, theta):
+        # Cin(x) = gamma + log x + O(1/x) and Si(x) = pi/2 + O(1/x)
+        got = self.nu.exponent_value(theta)
+        assert np.isfinite(got)
+        asymptote = self.c * complex(-(np.euler_gamma + np.log(abs(theta))),
+                                     np.sign(theta) * np.pi / 2)
+        assert abs(got - asymptote) <= 2.0 * self.c / abs(theta)
+
+    def test_scaled_truncation_is_closed_form(self):
+        k, eps = 0.37, 1e-3
+        law = levy.spectrally_positive(self.nu.scale(k), trunc_eps=eps)
+        info = law.truncation_info()
+        assert info["rate"] == pytest.approx(k * self.c * np.log(1.0 / eps), rel=1e-15)
+        assert info["compensator_mean"] == pytest.approx(k * self.c * eps, rel=1e-15)
+        invcdf = law._jump_table()[0]
+        u = child_rng(5).uniform(size=100_000)
+        jumps = invcdf(u)
+        assert invcdf(0.0) == eps and invcdf(1.0) == 1.0
+        assert (jumps >= eps).all() and (jumps <= 1.0).all()
+        # the truncated law has CDF log(x/eps)/log(1/eps) on [eps, 1]
+        for x in (1e-2, 0.1, 0.5):
+            assert (jumps <= x).mean() == pytest.approx(
+                np.log(x / eps) / np.log(1.0 / eps), abs=4 * 0.5 / np.sqrt(u.size))
+
+    def test_increment_stream_is_poisson_counts_then_uniforms(self):
+        eps, t = 1e-3, 0.8
+        law = levy.spectrally_positive(self.nu, trunc_eps=eps)
+        got = law.sample_increment(t, child_rng(9), size=(4, 3))
+        rng = child_rng(9)
+        counts = rng.poisson(self.c * np.log(1.0 / eps) * t, size=(4, 3))
+        jumps = eps ** (1.0 - rng.uniform(size=int(counts.sum())))
+        owner = np.repeat(np.arange(counts.size), counts.ravel())
+        ref = np.bincount(owner, weights=jumps, minlength=counts.size).reshape(4, 3)
+        np.testing.assert_allclose(got, ref + t * self.c * eps, rtol=1e-14)
+
+
+def test_cin_si_against_scipy_sici():
+    from scipy import special
+
+    x = np.concatenate([np.geomspace(1e-6, 1e6, 2001), [3.999999, 4.0, 4.000001]])
+    si_ref, ci_ref = special.sici(x)
+    # Cin = gamma + log x - Ci; the reference cancels at small x, by at most
+    # a few ulps of log x, which the 1e-14 scale below covers
+    cin_ref = np.euler_gamma + np.log(x) - ci_ref
+    cin, si = levy._cin_si(x)
+    assert (np.abs(cin - cin_ref) <= 1e-14 * np.maximum(1.0, np.abs(cin_ref))).all()
+    assert (np.abs(si - si_ref) <= 1e-14 * np.maximum(1.0, np.abs(si_ref))).all()
+
+
+def test_cin_si_at_zero_and_small_x():
+    cin, si = levy._cin_si(np.array([0.0, 1e-8]))
+    assert (cin[0], si[0]) == (0.0, 0.0)
+    # leading series terms: Cin(x) ~ x^2/4, Si(x) ~ x, with no cancellation
+    assert cin[1] == pytest.approx(0.25e-16, rel=1e-15)
+    assert si[1] == pytest.approx(1e-8, rel=1e-15)
+
+
+def test_density_tail_quadrature_failure_raises():
+    # finite mass 1/log 2 that quadpack cannot reach at the lower end: a
+    # failed tail is an error, not a guess of infinite activity
+    nu = levy.LevyMeasure.from_density(lambda x: 1.0 / (x * np.log(2.0 / x)**2), 0.0, 1.0)
+    with pytest.raises(QuadratureError):
+        nu.tail(0.0)
+    assert nu.tail(0.5) == pytest.approx(1.0 / np.log(2.0) - 1.0 / np.log(4.0), rel=1e-10)
 
 
 def test_atomic_measure_bookkeeping():
