@@ -44,6 +44,7 @@ _INVCDF_GRID = 8192
 _SERIES_MAX = 4.0  # Cin and Si by power series up to here, a continued fraction beyond
 _SERIES_TERMS = 20  # the last term at x = 4 is below 1e-21
 _CF_MAXIT = 100  # the continued fraction converges in under 70 steps for x > 4
+_ATOM_CHUNK_ELEMENTS = 1 << 14  # thetas x atoms per exponent block: 256 KB complex, in cache
 
 
 def _quad(f, a, b, points=None):
@@ -206,14 +207,21 @@ class LevyMeasure:
             out = np.empty(theta.shape, dtype=complex)
             out.real = 0.0 - self.c * cin  # +0, not -0, at theta = 0
             out.imag = self.c * np.sign(theta) * si
+        elif self.kind == "atomic":
+            flat = theta.ravel()
+            out = np.empty(flat.size, dtype=complex)
+            chunk = max(1, _ATOM_CHUNK_ELEMENTS // self.locations.size)
+            for lo in range(0, flat.size, chunk):
+                t = flat[lo : lo + chunk, None]
+                out[lo : lo + chunk] = np.sum(
+                    self.masses * (np.exp(1j * t * self.locations) - 1.0), axis=-1)
+            out = out.reshape(theta.shape)
         else:
             out = np.array([self._exponent_at(t) for t in theta.ravel()],
                            dtype=complex).reshape(theta.shape)
         return out if out.ndim else complex(out)
 
     def _exponent_at(self, theta):
-        if self.kind == "atomic":
-            return complex(np.sum(self.masses * (np.exp(1j * theta * self.locations) - 1.0)))
         if theta == 0.0:
             return 0.0 + 0.0j
         f = self.density

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from idcoverage import levy
+from idcoverage import levy, onoff
 from idcoverage.errors import PreconditionError, QuadratureError, UnsupportedMomentError
 from idcoverage.rng import child_rng
 
@@ -291,6 +291,33 @@ def test_atomic_measure_bookkeeping():
     assert nu.tail(1.0) == pytest.approx(1.1)
     assert nu.first_moment_tail(1.0) == pytest.approx(1.3)
     assert nu.truncated_first_moment(1.0) == pytest.approx(0.2)
+
+
+def _atomic_exponent_per_theta(nu, theta):
+    """The atomic exponent one theta at a time: the reference for the blocks."""
+    return np.array([complex(np.sum(nu.masses * (np.exp(1j * t * nu.locations) - 1.0)))
+                     for t in theta.ravel()]).reshape(theta.shape)
+
+
+@pytest.mark.parametrize("atoms", [3, 10_000])
+def test_atomic_exponent_blocks_match_per_theta_loop(monkeypatch, atoms):
+    if atoms == 3:
+        nu = levy.LevyMeasure.atomic([0.5, 1.0, 2.0], [0.4, 0.9, 0.2])
+    else:
+        spec = onoff.OnOffArraySpec("power_example", mu=1.0, alpha_exp=0.5, b=0.5)
+        nu = onoff.row_measure(spec, atoms)
+    assert nu.kind == "atomic" and nu.locations.size == atoms
+    theta = np.concatenate([[0.0, -0.0, 1e-3, -7.5, 250.0],
+                            np.random.default_rng(23).normal(scale=20.0, size=6)])
+    # three thetas per block, so the eleven run in four blocks
+    monkeypatch.setattr(levy, "_ATOM_CHUNK_ELEMENTS", 3 * atoms)
+    np.testing.assert_array_equal(nu.exponent_value(theta),
+                                  _atomic_exponent_per_theta(nu, theta))
+    grid = theta[1:].reshape(2, 5)
+    np.testing.assert_array_equal(nu.exponent_value(grid),
+                                  _atomic_exponent_per_theta(nu, grid))
+    assert nu.exponent_value(-7.5) == _atomic_exponent_per_theta(nu, np.array(-7.5))
+    assert nu.exponent_value(np.empty(0)).shape == (0,)
 
 
 def test_measure_validation():

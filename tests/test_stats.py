@@ -198,6 +198,123 @@ class TestDistinctRows:
         assert emp.stderr[0] == pytest.approx(want, rel=1e-6)
 
 
+class TestFactoredProductGrid:
+    """Float rows on a product grid take the factored sums: they match the
+    dense one-pass loop, and only small variances and other grids reach the
+    centred path."""
+
+    GRID = stats.theta_product_grid([[-2.0, -0.5, 1.0], [0.5, 2.0], [-1.0, 0.25, 0.5, 3.0]])
+
+    @staticmethod
+    def sample(kind, shape=(2000, 3)):
+        rng = np.random.default_rng(29)
+        return rng.normal(size=shape) if kind == "normal" else rng.exponential(size=shape)
+
+    @staticmethod
+    def centred_calls(monkeypatch):
+        """The thetas of every call to the centred path, recorded."""
+        calls = []
+        centred = stats._centred_sums
+
+        def record(rows, counts, thetas):
+            calls.append(thetas.copy())
+            return centred(rows, counts, thetas)
+
+        monkeypatch.setattr(stats, "_centred_sums", record)
+        return calls
+
+    @staticmethod
+    def assert_matches_dense(samples, thetas):
+        emp = stats.empirical_cf(samples, thetas)
+        est, se = _dense_cf(samples, thetas)
+        np.testing.assert_allclose(emp.estimates, est, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(emp.stderr, se, rtol=0, atol=1e-15)
+        return emp
+
+    @pytest.mark.parametrize("kind", ["normal", "exponential"])
+    def test_grid_in_product_order(self, monkeypatch, kind):
+        calls = self.centred_calls(monkeypatch)
+        self.assert_matches_dense(self.sample(kind), self.GRID)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["normal", "exponential"])
+    def test_shuffled_grid(self, monkeypatch, kind):
+        calls = self.centred_calls(monkeypatch)
+        x = self.sample(kind)
+        perm = np.random.default_rng(31).permutation(self.GRID.shape[0])
+        shuffled = self.assert_matches_dense(x, self.GRID[perm])
+        ordered = stats.empirical_cf(x, self.GRID)
+        np.testing.assert_array_equal(shuffled.thetas, self.GRID[perm])
+        np.testing.assert_array_equal(shuffled.estimates, ordered.estimates[perm])
+        np.testing.assert_array_equal(shuffled.stderr, ordered.stderr[perm])
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["normal", "exponential"])
+    def test_one_column_grid(self, monkeypatch, kind):
+        calls = self.centred_calls(monkeypatch)
+        self.assert_matches_dense(self.sample(kind)[:, :1], [[-1.0], [0.5], [2.0]])
+        assert calls == []
+
+    @pytest.mark.parametrize("thetas", [
+        GRID[:-1],                                          # one point short
+        [[1.0, 0.5, 2.0], [1.0, 0.5, 2.0], [-1.0, -0.5, 3.0], [-1.0, -0.5, 3.0],
+         [1.0, -0.5, 2.0], [1.0, -0.5, 3.0], [-1.0, 0.5, 2.0], [-1.0, 0.5, 3.0]],
+        np.random.default_rng(37).normal(size=(10, 3)),
+    ], ids=["short", "repeated-row", "scattered"])
+    def test_other_grids_take_the_dense_path(self, monkeypatch, thetas):
+        calls = self.centred_calls(monkeypatch)
+        whole = self.assert_matches_dense(self.sample("normal"), thetas)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], thetas)
+        # chunks of a few rows merge by the pairwise update
+        monkeypatch.setattr(stats, "_CHUNK_ELEMENTS", 56)
+        pieces = stats.empirical_cf(self.sample("normal"), thetas)
+        np.testing.assert_allclose(pieces.estimates, whole.estimates, rtol=0, atol=5e-15)
+        np.testing.assert_allclose(pieces.stderr, whole.stderr, rtol=0, atol=5e-15)
+
+    def test_chunked_factored_sums_match_unchunked(self, monkeypatch):
+        calls = self.centred_calls(monkeypatch)
+        x = self.sample("exponential")
+        whole = stats.empirical_cf(x, self.GRID)
+        # 48 float64 elements per row here: chunks of four rows
+        monkeypatch.setattr(stats, "_CHUNK_ELEMENTS", 200)
+        pieces = stats.empirical_cf(x, self.GRID)
+        np.testing.assert_allclose(pieces.estimates, whole.estimates, rtol=0, atol=5e-15)
+        np.testing.assert_allclose(pieces.stderr, whole.stderr, rtol=0, atol=5e-15)
+        assert calls == []
+
+    def test_small_variances_take_the_centred_fallback(self, monkeypatch):
+        # theta . row varies by ~5e-2 except at (1e-3, 1e-3), where it varies
+        # by ~1.4e-6: a variance near 2e-12, below _FACTORED_MIN_VAR
+        calls = self.centred_calls(monkeypatch)
+        x = 0.3 + 1e-3 * self.sample("normal", (2000, 2))
+        grid = stats.theta_product_grid([[1e-3, 40.0]] * 2)
+        emp = stats.empirical_cf(x, grid)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], [[1e-3, 1e-3]])
+        est, _ = _dense_cf(x, grid)
+        np.testing.assert_allclose(emp.estimates, est, rtol=0, atol=1e-13)
+        inner = x @ grid.T
+        var = np.maximum(np.var(np.cos(inner), axis=0, ddof=1),
+                         np.var(np.sin(inner), axis=0, ddof=1))
+        assert var[0] < stats._FACTORED_MIN_VAR < var[1:].min()
+        np.testing.assert_allclose(emp.stderr, np.sqrt(var / x.shape[0]), rtol=1e-6)
+
+    def test_default_six_epoch_grid_never_runs_the_dense_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the centred path ran")
+
+        monkeypatch.setattr(stats, "_centred_sums", refuse)
+        x = self.sample("normal", (20_000, 6))
+        grid = stats.theta_product_grid([[-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]] * 6)
+        emp = stats.empirical_cf(x, grid)
+        assert emp.estimates.shape == emp.stderr.shape == (46_656,)
+        picks = [0, 7, 23_456, 46_655]
+        direct = np.exp(1j * x @ grid[picks].T).mean(axis=0)
+        np.testing.assert_allclose(emp.estimates[picks], direct, rtol=0, atol=1e-13)
+        assert np.all(emp.stderr <= 2.0 / np.sqrt(20_000))
+
+
 class TestEmpiricalCov:
     def test_matches_numpy_cov(self):
         rng = np.random.default_rng(3)
