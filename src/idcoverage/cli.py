@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config as cfg
 from . import corr, fidi, mginf, onoff, rng as rngmod, stats, verify
-from .errors import BoundViolationError, PreconditionError, QuadratureError
+from .errors import BoundViolationError, PreconditionError, QuadratureError, finite
 
 _DEFAULT_THETA = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
 _DEFAULT_THETA_MAX_EPOCHS = 6   # 6^6 = 46,656 default theta vectors
@@ -61,14 +61,14 @@ def _count(value, field, least=0):
     return value
 
 
-def _real(value, field, least=None):
-    """Check that ``value`` of config field ``field`` is a finite number, of
-    at least ``least`` if given; a string, bool, null, NaN or infinity is a
-    ConfigError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not -np.inf < value < np.inf or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise cfg.ConfigError(f"{field}: expected a finite number{bound}, got {value!r}")
+@contextlib.contextmanager
+def _top_level_fields():
+    """Report a failed check of a top-level config field as a ConfigError;
+    the check's message names the field."""
+    try:
+        yield
+    except PreconditionError as exc:
+        raise cfg.ConfigError(str(exc)) from exc
 
 
 def _reps_seed(args, conf):
@@ -163,18 +163,18 @@ def _thetas(conf, n):
 
 def _assumptions(conf):
     """check_assumptions' settings: the config's fields, else the defaults.
-    n_list holds whole numbers >= 1, x_probe and eps_list finite numbers,
-    each in a nonempty list, and rtol_tail is a finite number >= 0; any
-    other value is a ConfigError naming the field.  Call before sampling."""
+    n_list holds whole numbers >= 1, x_probe and eps_list finite numbers
+    > 0, each in a nonempty list, and rtol_tail is a finite number >= 0;
+    any other value is a ConfigError naming the field.  Call before sampling."""
     settings = {field: conf.get(field, value) for field, value in _ASSUMPTION_DEFAULTS.items()}
     for field in ("n_list", "x_probe", "eps_list"):
         if not isinstance(settings[field], list) or not settings[field]:
             raise cfg.ConfigError(f"{field}: expected a nonempty list, got {settings[field]!r}")
     settings["n_list"] = [_count(n, "n_list", least=1) for n in settings["n_list"]]
-    for field in ("x_probe", "eps_list"):
-        for x in settings[field]:
-            _real(x, field)
-    _real(settings["rtol_tail"], "rtol_tail", least=0)
+    with _top_level_fields():
+        for field in ("x_probe", "eps_list"):
+            settings[field] = finite(settings[field], field, "(0, inf)", vector=True).tolist()
+        settings["rtol_tail"] = finite(settings["rtol_tail"], "rtol_tail", "[0, inf)")
     return settings
 
 
@@ -211,7 +211,8 @@ def cmd_simulate_coverage(args):
     marks = cfg.mark_from_config(marks, "marks") if marks is not None else None
     if "arrival_rate" not in conf:
         raise CliError("arrival_rate must be set in the config")
-    model = mginf.MGInfinityModel(conf["arrival_rate"], service, marks)
+    with _top_level_fields():
+        model = mginf.MGInfinityModel(conf["arrival_rate"], service, marks)
     grid = cfg.grid_from_config(conf.get("grid"), "grid")
     # refuse before sampling, not after a long run
     thetas = _thetas(conf, len(grid))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConcavityError, PreconditionError
+from .errors import ConcavityError, PreconditionError, finite, probability_vector
 
 _CLAMP_FLOOR = -1e-9  # below this a negative weight is a modelling error
 
@@ -36,29 +36,15 @@ class ServiceDistribution:
                  values=None, probs=None):
         self.kind = kind
         if kind == "exponential":
-            if rate is None or rate <= 0:
-                raise PreconditionError("exponential service needs rate > 0")
-            self.rate = float(rate)
+            self.rate = finite(rate, "rate", "(0, inf)")
         elif kind == "deterministic":
-            if value is None or value <= 0:
-                raise PreconditionError("deterministic service needs value > 0")
-            self.value = float(value)
+            self.value = finite(value, "value", "(0, inf)")
         elif kind == "pareto_truncated":
-            if shape is None or shape <= 2:
-                raise PreconditionError("pareto service needs shape > 2 for finite variance")
-            if scale is None or scale <= 0:
-                raise PreconditionError("pareto service needs scale > 0")
-            self.shape, self.scale = float(shape), float(scale)
+            self.shape = finite(shape, "shape", "(2, inf)")  # for a finite variance
+            self.scale = finite(scale, "scale", "(0, inf)")
         elif kind == "discrete":
-            values = np.asarray(values, dtype=float)
-            probs = np.asarray(probs, dtype=float)
-            if values.ndim != 1 or values.shape != probs.shape:
-                raise PreconditionError("values and probs must be matching 1-d arrays")
-            if (values <= 0).any():
-                raise PreconditionError("service times must be positive")
-            if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-12:
-                raise PreconditionError("probs must be a probability vector")
-            self.values, self.probs = values, probs
+            self.values = finite(values, "values", "(0, inf)", vector=True)
+            self.probs = probability_vector(self.values, probs, "probs")
         else:
             raise PreconditionError(f"unknown service kind {kind!r}")
 
@@ -133,13 +119,9 @@ class CorrelationStructure:
     def __init__(self, kind, *, mu=None, alpha=None, service=None, components=None):
         self.kind = kind
         if kind == "exponential":
-            if mu is None or mu <= 0:
-                raise PreconditionError("exponential structure needs mu > 0")
-            self.mu = float(mu)
+            self.mu = finite(mu, "mu", "(0, inf)")
         elif kind == "power":
-            if alpha is None or not 0.0 < alpha <= 1.0:
-                raise PreconditionError("power structure needs alpha in (0, 1]")
-            self.alpha = float(alpha)
+            self.alpha = finite(alpha, "alpha", "(0, 1]")
         elif kind == "integrated_tail":
             if service is None:
                 raise PreconditionError("integrated_tail needs a ServiceDistribution")
@@ -147,10 +129,9 @@ class CorrelationStructure:
         elif kind == "mixture":
             if not components:
                 raise PreconditionError("mixture needs (weight, structure) components")
-            w = np.array([c[0] for c in components], dtype=float)
-            if (w <= 0).any() or abs(w.sum() - 1.0) > 1e-12:
-                raise PreconditionError("mixture weights must be positive and sum to 1")
-            self.components = [(float(wi), ci) for wi, ci in components]
+            w = probability_vector(components, [c[0] for c in components], "weight",
+                                   positive=True)
+            self.components = [(float(wi), ci) for wi, (_, ci) in zip(w, components)]
         else:
             raise PreconditionError(f"unknown structure kind {kind!r}")
 
@@ -191,12 +172,10 @@ class TimeGrid:
     epochs: tuple
 
     def __post_init__(self):
-        t = np.asarray(self.epochs, dtype=float)
-        if t.ndim != 1 or t.size < 1:
+        t = finite(self.epochs, "epochs", vector=True)
+        if t.size < 1:
             raise PreconditionError("grid needs at least one epoch")
-        if not np.isfinite(t).all():
-            raise PreconditionError("grid epochs must be finite")
-        if t.size > 1 and not (np.diff(t) > 0).all():
+        if not (np.diff(t) > 0).all():
             raise PreconditionError("grid epochs must be strictly increasing")
         object.__setattr__(self, "epochs", tuple(float(x) for x in t))
 

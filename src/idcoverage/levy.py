@@ -36,7 +36,8 @@ import math
 
 import numpy as np
 
-from .errors import PreconditionError, QuadratureError, UnsupportedMomentError
+from .errors import (PreconditionError, QuadratureError, UnsupportedMomentError, finite,
+                     probability_vector)
 
 _QUAD_RTOL = 1e-10
 _QUAD_ATOL = 1e-14
@@ -120,25 +121,17 @@ class LevyMeasure:
     def __init__(self, kind, *, locations=None, masses=None,
                  density=None, lower=None, upper=None, c=None):
         if kind == "atomic":
-            locations = np.asarray(locations, dtype=float)
-            masses = np.asarray(masses, dtype=float)
-            if locations.ndim != 1 or locations.shape != masses.shape:
+            self.locations = finite(locations, "locations", "(0, inf)", vector=True)
+            self.masses = finite(masses, "masses", "(0, inf)", vector=True)
+            if self.locations.shape != self.masses.shape:
                 raise PreconditionError("locations and masses must be matching 1-d arrays")
-            if not (locations > 0).all():
-                raise PreconditionError("atom locations must be strictly positive")
-            if not (masses > 0).all():
-                raise PreconditionError("atom masses must be strictly positive")
-            self.locations, self.masses = locations, masses
         elif kind == "density":
-            if density is None or lower is None or upper is None:
-                raise PreconditionError("density kind needs density, lower, upper")
-            if not (0 <= lower < upper < np.inf):
-                raise PreconditionError("need 0 <= lower < upper < inf")
-            self.density, self.lower, self.upper = density, float(lower), float(upper)
+            if density is None:
+                raise PreconditionError("density kind needs a density")
+            self.density, self.lower = density, finite(lower, "lower", "[0, inf)")
+            self.upper = finite(upper, "upper", f"({self.lower!r}, inf)")
         elif kind == "reciprocal":
-            if c is None or not 0 < c < np.inf:
-                raise PreconditionError("reciprocal kind needs a finite constant c > 0")
-            self.c, self.lower, self.upper = float(c), 0.0, 1.0
+            self.c, self.lower, self.upper = finite(c, "c", "(0, inf)"), 0.0, 1.0
         else:
             raise PreconditionError(f"unknown measure kind {kind!r}")
         self.kind = kind
@@ -188,8 +181,7 @@ class LevyMeasure:
 
     def scale(self, c):
         """The measure multiplied by a positive constant."""
-        if c <= 0:
-            raise PreconditionError("scale factor must be positive")
+        c = finite(c, "c", "(0, inf)")
         if self.kind == "atomic":
             return LevyMeasure("atomic", locations=self.locations, masses=c * self.masses)
         if self.kind == "reciprocal":
@@ -238,9 +230,7 @@ def reciprocal_measure(b):
     mass of [x, 1] is c*log(1/x), int x^q is c/q, int_[x, 1] y is c*(1 - x),
     int_(0, eps) y is c*eps, and the exponent is c*(-Cin(|t|) + i*sign(t)*Si(|t|)).
     """
-    if not 0.0 < b < 1.0:
-        raise PreconditionError("b must lie in (0, 1)")
-    return LevyMeasure("reciprocal", c=1.0 / np.log(1.0 / b))
+    return LevyMeasure("reciprocal", c=1.0 / np.log(1.0 / finite(b, "b", "(0, 1)")))
 
 
 class MarkDistribution:
@@ -249,21 +239,13 @@ class MarkDistribution:
     def __init__(self, kind, *, value=None, values=None, probs=None,
                  mean=0.0, variance=None):
         if kind == "point_mass":
-            if value is None:
-                raise PreconditionError("point_mass needs a value")
-            self.value = float(value)
+            self.value = finite(value, "value")
         elif kind == "discrete":
-            values = np.asarray(values, dtype=float)
-            probs = np.asarray(probs, dtype=float)
-            if values.ndim != 1 or values.shape != probs.shape:
-                raise PreconditionError("values and probs must be matching 1-d arrays")
-            if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-12:
-                raise PreconditionError("probs must be a probability vector")
-            self.values, self.probs = values, probs
+            self.values = finite(values, "values", vector=True)
+            self.probs = probability_vector(self.values, probs, "probs")
         elif kind == "normal":
-            if variance is None or variance < 0:
-                raise PreconditionError("normal mark needs variance >= 0")
-            self.mean_, self.variance_ = float(mean), float(variance)
+            self.mean_ = finite(mean, "mean")
+            self.variance_ = finite(variance, "variance", "[0, inf)")
         else:
             raise PreconditionError(f"unknown mark kind {kind!r}")
         self.kind = kind
@@ -336,28 +318,21 @@ class LevyExponent:
             kind, mark = "compound_poisson", MarkDistribution.point_mass(1.0)
         self.kind = kind
         if kind == "gaussian":
-            if sigma2 < 0:
-                raise PreconditionError("sigma2 must be nonnegative")
-            self.beta, self.sigma2 = float(beta), float(sigma2)
+            self.beta, self.sigma2 = finite(beta, "beta"), finite(sigma2, "sigma2", "[0, inf)")
         elif kind == "compound_poisson":
-            if rate is None or rate < 0 or mark is None:
-                raise PreconditionError("compound_poisson needs rate >= 0 and a mark law")
-            self.rate, self.mark = float(rate), mark
+            if mark is None:
+                raise PreconditionError("compound_poisson needs a mark law")
+            self.rate, self.mark = finite(rate, "rate", "[0, inf)"), mark
         elif kind == "gamma":
             pass
         elif kind == "spectrally_positive":
             if measure is None:
                 raise PreconditionError("spectrally_positive needs a LevyMeasure")
-            if trunc_eps <= 0:
-                raise PreconditionError("trunc_eps must be positive")
             self.measure = measure
-            self.trunc_eps = float(trunc_eps)
-            self._m1 = measure.moment(1)  # must exist; this is the no-compensator regime
-            # a divergent integral can come back from quadrature as a finite
-            # negative "regularized" value, so nonpositive is rejected too
-            if not np.isfinite(self._m1) or self._m1 <= 0:
-                raise PreconditionError(
-                    "spectrally positive measure needs a finite positive first moment")
+            self.trunc_eps = finite(trunc_eps, "trunc_eps", "(0, inf)")
+            # the no-compensator regime needs a finite first moment; quadrature can
+            # return a divergent one as a finite negative value, hence > 0 too
+            self._m1 = finite(measure.moment(1), "the measure's first moment", "(0, inf)")
             self._invcdf = None
         else:
             raise PreconditionError(f"unknown law kind {kind!r}")
@@ -405,11 +380,19 @@ class LevyExponent:
     # ---- sampling ----------------------------------------------------
 
     def _jump_table(self):
-        """(inverse CDF, rate, compensator mean) of the eps-truncated jump law:
+        """(inverse CDF, rate, compensator mean) of the jump law: the atoms
+        by their cumulative masses, untruncated; for the eps-truncated law,
         exactly eps**(1 - u) for the reciprocal kind, and a table on a
         geometric grid for a density."""
         if self._invcdf is None:
             nu, eps = self.measure, self.trunc_eps
+            if nu.kind == "atomic":  # every atom kept: no truncation, no compensator
+                cdf = np.cumsum(nu.masses) / nu.masses.sum()
+
+                def invcdf(u):
+                    return nu.locations[np.minimum(np.searchsorted(cdf, u, "right"), cdf.size - 1)]
+                self._invcdf = (invcdf, float(nu.masses.sum()), 0.0)
+                return self._invcdf
             lo = max(nu.lower, eps)
             if lo >= nu.upper:
                 raise PreconditionError("truncation removes the whole support")
@@ -434,11 +417,9 @@ class LevyExponent:
         """(eps, retained jump rate, mean restored per unit time)."""
         if self.kind != "spectrally_positive":
             raise PreconditionError("truncation applies only to spectrally positive laws")
-        if self.measure.kind == "atomic":
-            return {"eps": 0.0, "rate": float(self.measure.masses.sum()),
-                    "compensator_mean": 0.0}
         _, rate, comp = self._jump_table()
-        return {"eps": self.trunc_eps, "rate": rate, "compensator_mean": comp}
+        eps = 0.0 if self.measure.kind == "atomic" else self.trunc_eps
+        return {"eps": eps, "rate": rate, "compensator_mean": comp}
 
     def sample_increment(self, t, rng, size=None):
         """Draw the increment over an interval of length t.
@@ -447,7 +428,8 @@ class LevyExponent:
         The interface is exact for every kind except reciprocal and density
         jump measures with infinite activity, where jumps below ``trunc_eps``
         are dropped and their exact mean ``t * int_0^eps x nu(dx)`` is
-        added back deterministically.
+        added back deterministically.  Every jump measure draws one Poisson
+        count per increment and then that many jumps from ``_jump_table``.
         """
         if t < 0:
             raise PreconditionError("t must be nonnegative")
@@ -463,12 +445,6 @@ class LevyExponent:
             out = np.asarray(self.mark.sample_sum(counts, rng), dtype=float)
         elif self.kind == "gamma":
             out = rng.gamma(t, 1.0, size=shape)
-        elif self.measure.kind == "atomic":
-            # superpose one Poisson stream per atom; exact, no truncation
-            locs, masses = self.measure.locations, self.measure.masses
-            counts = rng.poisson(np.broadcast_to(masses * t, shape + masses.shape))
-            out = counts @ locs if counts.ndim else float(counts * locs)
-            out = np.asarray(out, dtype=float)
         else:
             invcdf, rate, comp = self._jump_table()
             counts = np.atleast_1d(rng.poisson(rate * t, size=shape))

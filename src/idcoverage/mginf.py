@@ -18,16 +18,14 @@ Res. 41, 1993), so only they and the arrivals on (t_1, t_n] are drawn."""
 import numpy as np
 
 from .corr import block_spans
-from .errors import PreconditionError
+from .errors import finite
 
 
 class MGInfinityModel:
     """M/GI/inf occupancy model, optionally marked."""
 
     def __init__(self, arrival_rate, service, marks=None):
-        if arrival_rate <= 0:
-            raise PreconditionError("arrival_rate must be positive")
-        self.arrival_rate = float(arrival_rate)
+        self.arrival_rate = finite(arrival_rate, "arrival_rate", "(0, inf)")
         self.service = service
         self.marks = marks
 

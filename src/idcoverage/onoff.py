@@ -32,7 +32,7 @@ from itertools import combinations
 import numpy as np
 
 from . import corr, fidi, levy, rng as rngmod, stats
-from .errors import BoundViolationError, PreconditionError
+from .errors import BoundViolationError, PreconditionError, finite
 
 _BLOCK_ELEMENTS = 5_000_000
 _SUBSET_CAP = 12
@@ -42,7 +42,7 @@ _SPARSE_MAX_PI = 0.15
 
 
 def _epochs(grid):
-    """Accept a TimeGrid or any strictly increasing 1-d array-like."""
+    """Accept a TimeGrid, or a strictly increasing list, tuple or 1-d array."""
     return (grid if isinstance(grid, corr.TimeGrid) else corr.TimeGrid(grid)).t
 
 
@@ -138,8 +138,8 @@ class OnOffSource:
     r: float
 
     def __post_init__(self):
-        if not all(0.0 < v < np.inf for v in (self.lam, self.mu, self.r)):
-            raise PreconditionError("lam, mu, r must all be positive and finite")
+        for name in ("lam", "mu", "r"):
+            object.__setattr__(self, name, finite(getattr(self, name), name, "(0, inf)"))
 
     @property
     def pi(self):
@@ -186,15 +186,10 @@ class OnOffArraySpec:
     """
 
     def __init__(self, kind, mu, *, alpha_exp=None, b=None, rows=None):
-        if not 0.0 < mu < np.inf:
-            raise PreconditionError("mu must be positive and finite")
-        self.kind, self.mu = kind, float(mu)
+        self.kind, self.mu = kind, finite(mu, "mu", "(0, inf)")
         if kind == "power_example":
-            if alpha_exp is None or not 0.0 < alpha_exp < 1.0:
-                raise PreconditionError("power_example needs alpha_exp in (0,1)")
-            if b is None or not 0.0 < b < 1.0:
-                raise PreconditionError("power_example needs b in (0,1)")
-            self.alpha_exp, self.b = float(alpha_exp), float(b)
+            self.alpha_exp = finite(alpha_exp, "alpha_exp", "(0, 1)")
+            self.b = finite(b, "b", "(0, 1)")
         elif kind == "explicit":
             if not rows:
                 raise PreconditionError("explicit spec needs rows")
@@ -205,11 +200,8 @@ class OnOffArraySpec:
                     raise PreconditionError(f"row {n} must list exactly {n} sources")
                 if any(len(p) != 2 for p in params):
                     raise PreconditionError(f"row {n}: each source must be a (lam, r) pair")
-                lam = np.array([p[0] for p in params], dtype=float)
-                r = np.array([p[1] for p in params], dtype=float)
-                if not ((lam > 0) & (lam < np.inf) & (r > 0) & (r < np.inf)).all():
-                    raise PreconditionError("all lam_nj, r_nj must be positive and finite")
-                clean[n] = (lam, r)
+                clean[n] = (finite([p[0] for p in params], "lam", "(0, inf)", vector=True),
+                            finite([p[1] for p in params], "r", "(0, inf)", vector=True))
             self.rows = clean
         else:
             raise PreconditionError(f"unknown array kind {kind!r}")
@@ -328,9 +320,7 @@ def c2_small_jump_sum(spec, n, eps):
 
 def limit_exponent(nu, mu):
     """Spectrally positive law with measure nu/mu (the row-sum limit law)."""
-    if mu <= 0:
-        raise PreconditionError("mu must be positive")
-    return levy.spectrally_positive(nu.scale(1.0 / mu))
+    return levy.spectrally_positive(nu.scale(1.0 / finite(mu, "mu", "(0, inf)")))
 
 
 def espc_weights(mu, grid):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from idcoverage import cli, config as cfg, corr, levy, rng as rngmod
+from idcoverage.errors import PreconditionError
 
 
 # -- config builders ---------------------------------------------------------
@@ -142,6 +143,86 @@ class TestOtherBuilders:
     def test_malformed_rows_raise_config_error(self, rows):
         with pytest.raises(cfg.ConfigError, match=r"array\.rows"):
             cfg.array_from_config({"kind": "explicit", "mu": 1.0, "rows": rows})
+
+
+# every numeric field of every family kind: (family, a valid object, the keys
+# down to the field, the object path and constructor parameter the error names)
+NUMERIC_FIELDS = [
+    ("law", {"kind": "gaussian", "beta": 0.5, "sigma2": 1.0}, ("beta",), "law: beta"),
+    ("law", {"kind": "gaussian", "sigma2": 1.0}, ("sigma2",), "law: sigma2"),
+    ("law", {"kind": "poisson", "rate": 1.0}, ("rate",), "law: rate"),
+    ("law", {"kind": "compound_poisson", "rate": 1.0,
+             "mark": {"kind": "point_mass", "value": 1.0}}, ("rate",), "law: rate"),
+    ("law", {"kind": "spectrally_positive", "trunc_eps": 1e-3,
+             "measure": {"kind": "reciprocal", "b": 0.5}}, ("trunc_eps",), "law: trunc_eps"),
+    ("mark", {"kind": "point_mass", "value": 1.0}, ("value",), "marks: value"),
+    ("mark", {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]},
+     ("values", 0), "marks: values"),
+    ("mark", {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]},
+     ("probs", 1), "marks: probs"),
+    ("mark", {"kind": "normal", "mean": 0.5, "variance": 1.0}, ("mean",), "marks: mean"),
+    ("mark", {"kind": "normal", "variance": 1.0}, ("variance",), "marks: variance"),
+    ("measure", {"kind": "atomic", "locations": [0.5, 2.0], "masses": [1.0, 0.25]},
+     ("locations", 1), "measure: locations"),
+    ("measure", {"kind": "atomic", "locations": [0.5, 2.0], "masses": [1.0, 0.25]},
+     ("masses", 0), "measure: masses"),
+    ("measure", {"kind": "reciprocal", "b": 0.5}, ("b",), "measure: b"),
+    ("service", {"kind": "exponential", "rate": 1.0}, ("rate",), "service: rate"),
+    ("service", {"kind": "deterministic", "value": 1.0}, ("value",), "service: value"),
+    ("service", {"kind": "pareto_truncated", "shape": 3.0, "scale": 1.0},
+     ("shape",), "service: shape"),
+    ("service", {"kind": "pareto_truncated", "shape": 3.0, "scale": 1.0},
+     ("scale",), "service: scale"),
+    ("service", {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]},
+     ("values", 1), "service: values"),
+    ("service", {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]},
+     ("probs", 0), "service: probs"),
+    ("structure", {"kind": "exponential", "mu": 1.0}, ("mu",), "structure: mu"),
+    ("structure", {"kind": "power", "alpha": 0.5}, ("alpha",), "structure: alpha"),
+    ("structure", {"kind": "mixture", "components": [
+        {"weight": 0.5, "structure": {"kind": "power", "alpha": 0.5}},
+        {"weight": 0.5, "structure": {"kind": "exponential", "mu": 1.0}}]},
+     ("components", 1, "weight"), "structure: weight"),
+    ("array", {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
+     ("mu",), "array: mu"),
+    ("array", {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
+     ("alpha",), "array: alpha_exp"),
+    ("array", {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
+     ("b",), "array: b"),
+    ("array", {"kind": "explicit", "mu": 1.0, "rows": {"2": [[0.1, 1.0], [0.2, 0.5]]}},
+     ("mu",), "array: mu"),
+    ("array", {"kind": "explicit", "mu": 1.0, "rows": {"2": [[0.1, 1.0], [0.2, 0.5]]}},
+     ("rows", "2", 1, 0), "array: lam"),
+    ("array", {"kind": "explicit", "mu": 1.0, "rows": {"2": [[0.1, 1.0], [0.2, 0.5]]}},
+     ("rows", "2", 0, 1), "array: r"),
+]
+# JSON's NaN, Infinity, -Infinity, true, "1" and null
+NON_NUMBERS = [float("nan"), float("inf"), float("-inf"), True, "1", None]
+
+
+@pytest.mark.parametrize("value", NON_NUMBERS, ids=repr)
+@pytest.mark.parametrize("family, valid, keys, named", NUMERIC_FIELDS,
+                         ids=[".".join(map(str, (family, valid["kind"]) + keys))
+                              for family, valid, keys, _ in NUMERIC_FIELDS])
+def test_every_numeric_field_is_a_finite_number(family, valid, keys, named, value):
+    conf = json.loads(json.dumps(valid))
+    path = named.split(":")[0]
+    assert cfg._build(family, conf, path) is not None
+    inner = conf
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    with pytest.raises(cfg.ConfigError) as info:
+        cfg._build(family, conf, path)
+    assert str(info.value).startswith(named)
+    assert isinstance(info.value.__cause__, PreconditionError)
+
+
+def test_range_boundaries_build():
+    assert cfg.law_from_config({"kind": "poisson", "rate": 0}).rate == 0.0
+    assert cfg.law_from_config({"kind": "gaussian", "sigma2": 0.0}).sigma2 == 0.0
+    assert cfg.mark_from_config({"kind": "normal", "variance": 0}).moment(2) == 0.0
+    assert cfg.structure_from_config({"kind": "power", "alpha": 1}).alpha == 1.0
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -789,6 +870,59 @@ def test_bad_onoff_array_refused_before_sampling(tmp_path, monkeypatch, capsys, 
     out = str(tmp_path / "rows.csv")
     assert cli.main(["simulate-onoff", "--config", conf, "--out", out]) == 2
     assert "config error: array: " in capsys.readouterr().err
+    assert calls == []
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+MM_CONF = {"arrival_rate": 1.0, "service": {"kind": "exponential", "rate": 1.0},
+           "grid": [0.0, 1.0], "reps": 50, "seed": 1}
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, conf, named", [
+    ("cf-eval", dict(SAMPLE_CONF, structure={"kind": "exponential", "mu": NAN}),
+     "structure: mu"),
+    ("cf-eval", dict(SAMPLE_CONF, structure={"kind": "mixture", "components": [
+        {"weight": NAN, "structure": {"kind": "power", "alpha": 0.5}},
+        {"weight": 0.5, "structure": {"kind": "exponential", "mu": 1.0}}]}),
+     "structure: weight"),
+    ("cf-eval", dict(SAMPLE_CONF, structure={"kind": "integrated_tail", "service": {
+        "kind": "pareto_truncated", "shape": NAN, "scale": 1.0}}), "structure.service: shape"),
+    ("cf-eval", dict(SAMPLE_CONF, law={"kind": "gaussian", "beta": NAN, "sigma2": 1.0}),
+     "law: beta"),
+    ("cf-eval", dict(SAMPLE_CONF, law={"kind": "gaussian", "sigma2": INF}), "law: sigma2"),
+    ("cf-eval", dict(SAMPLE_CONF, structure={"kind": "power", "alpha": True}),
+     "structure: alpha"),
+    ("sample", dict(SAMPLE_CONF, law={"kind": "poisson", "rate": NAN}), "law: rate"),
+    ("sample", dict(SAMPLE_CONF, law={"kind": "poisson", "rate": True}), "law: rate"),
+    ("sample", dict(SAMPLE_CONF, law={"kind": "compound_poisson", "rate": 1.0,
+                                      "mark": {"kind": "point_mass", "value": NAN}}),
+     "law.mark: value"),
+    ("simulate-coverage", dict(MM_CONF, marks={"kind": "normal", "variance": NAN}),
+     "marks: variance"),
+    ("simulate-coverage", dict(MM_CONF, service={"kind": "exponential", "rate": NAN}),
+     "service: rate"),
+    ("simulate-coverage", dict(MM_CONF, service={"kind": "deterministic", "value": INF}),
+     "service: value"),
+    ("simulate-coverage", dict(MM_CONF, arrival_rate="2"), "arrival_rate"),
+    ("simulate-coverage", dict(MM_CONF, arrival_rate=NAN), "arrival_rate"),
+    ("simulate-coverage", dict(MM_CONF, arrival_rate=INF), "arrival_rate"),
+    ("simulate-coverage", dict(MM_CONF, arrival_rate=True), "arrival_rate"),
+    ("check-array", dict(ASSUMPTION_CONF, x_probe=[0.5, 0]), "x_probe"),
+    ("check-array", dict(ASSUMPTION_CONF, eps_list=[-0.1]), "eps_list"),
+    ("convergence", dict(ASSUMPTION_CONF, eps_list=[0.1, -0.1]), "eps_list"),
+    ("convergence", dict(ASSUMPTION_CONF, rtol_tail=INF), "rtol_tail"),
+])
+def test_non_finite_or_out_of_range_number_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, command, conf, named):
+    calls = _sampler_calls(monkeypatch)
+    conf = write_config(tmp_path, "c.json", conf)
+    out = str(tmp_path / ("out.json" if command in ("cf-eval", "check-array", "convergence")
+                          else "out.csv"))
+    assert cli.main([command, "--config", conf, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {named}")
+    assert captured.out == ""
     assert calls == []
     assert os.listdir(tmp_path) == ["c.json"]
 

@@ -249,3 +249,33 @@ def test_weights_are_shift_invariant(epochs, tau, key):
 def test_b_to_a_rejects_nonsquare():
     with pytest.raises(PreconditionError):
         corr.b_to_a(np.ones((2, 3)))
+
+
+BAD_NUMBERS = [np.nan, np.inf, -np.inf, True, "1", None]
+
+# each numeric parameter of each corr constructor, as a one-argument builder
+CORR_PARAMETERS = {
+    "exponential.rate": corr.ServiceDistribution.exponential,
+    "deterministic.value": corr.ServiceDistribution.deterministic,
+    "pareto_truncated.shape": lambda v: corr.ServiceDistribution.pareto_truncated(v, 1.0),
+    "pareto_truncated.scale": lambda v: corr.ServiceDistribution.pareto_truncated(3.0, v),
+    "discrete.values": lambda v: corr.ServiceDistribution.discrete([v, 1.0], [0.5, 0.5]),
+    "discrete.probs": lambda v: corr.ServiceDistribution.discrete([2.0, 1.0], [0.5, v]),
+    "exponential_structure.mu": corr.exponential_structure,
+    "power_structure.alpha": corr.power_structure,
+    "mixture_structure.weight": lambda v: corr.mixture_structure(
+        [(v, corr.power_structure(0.5)), (0.5, corr.exponential_structure(1.0))]),
+    "TimeGrid.epochs": lambda v: corr.TimeGrid((0.0, v)),
+}
+
+
+@pytest.mark.parametrize("value", BAD_NUMBERS, ids=repr)
+@pytest.mark.parametrize("param", list(CORR_PARAMETERS))
+def test_every_parameter_is_a_finite_number(param, value):
+    with pytest.raises(PreconditionError) as info:
+        CORR_PARAMETERS[param](value)
+    assert str(info.value).startswith(param.split(".")[1])
+
+
+def test_power_alpha_one_stays_accepted():
+    assert corr.power_structure(1).eval(0.5) == 0.5

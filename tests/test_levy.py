@@ -440,3 +440,75 @@ def test_law_validation():
         levy.LevyExponent("weibull")
     with pytest.raises(PreconditionError):
         levy.spectrally_positive(levy.reciprocal_measure(0.5), trunc_eps=0.0)
+
+
+# -- one parameter rule ------------------------------------------------------
+
+BAD_NUMBERS = [np.nan, np.inf, -np.inf, True, "1", None]
+
+# each numeric parameter of each levy constructor, as a one-argument builder
+LEVY_PARAMETERS = {
+    "gaussian.beta": lambda v: levy.gaussian(v, 1.0),
+    "gaussian.sigma2": lambda v: levy.gaussian(0.0, v),
+    "poisson.rate": levy.poisson,
+    "compound_poisson.rate": lambda v: levy.compound_poisson(
+        v, levy.MarkDistribution.point_mass(1.0)),
+    "spectrally_positive.trunc_eps": lambda v: levy.spectrally_positive(
+        levy.reciprocal_measure(0.5), v),
+    "point_mass.value": levy.MarkDistribution.point_mass,
+    "discrete.values": lambda v: levy.MarkDistribution.discrete([v, 1.0], [0.5, 0.5]),
+    "discrete.probs": lambda v: levy.MarkDistribution.discrete([0.0, 1.0], [v, 0.5]),
+    "normal.mean": lambda v: levy.MarkDistribution.normal(v, 1.0),
+    "normal.variance": lambda v: levy.MarkDistribution.normal(0.0, v),
+    "atomic.locations": lambda v: levy.LevyMeasure.atomic([v, 1.0], [1.0, 1.0]),
+    "atomic.masses": lambda v: levy.LevyMeasure.atomic([0.5, 1.0], [1.0, v]),
+    "reciprocal_measure.b": levy.reciprocal_measure,
+    "reciprocal.c": lambda v: levy.LevyMeasure("reciprocal", c=v),
+    "scale.c": lambda v: levy.reciprocal_measure(0.5).scale(v),
+    "from_density.upper": lambda v: levy.LevyMeasure.from_density(lambda x: 1.0, 0.0, v),
+}
+
+
+@pytest.mark.parametrize("value", BAD_NUMBERS, ids=repr)
+@pytest.mark.parametrize("param", list(LEVY_PARAMETERS))
+def test_every_parameter_is_a_finite_number(param, value):
+    with pytest.raises(PreconditionError) as info:
+        LEVY_PARAMETERS[param](value)
+    assert str(info.value).startswith(param.split(".")[1])
+
+
+def test_range_boundaries_stay_accepted():
+    assert levy.compound_poisson(0, levy.MarkDistribution.point_mass(1.0)).rate == 0.0
+    assert levy.poisson(0.0).mean() == 0.0
+    assert levy.gaussian(0.0, 0).sigma2 == 0.0
+    assert levy.MarkDistribution.normal(0.0, 0.0).moment(2) == 0.0
+
+
+class _SmallPoissonRequests:
+    """A Generator whose poisson refuses a request of more than 1e6 entries."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def poisson(self, lam=1.0, size=None):
+        entries = np.size(lam) if size is None else int(np.prod(size))
+        assert entries <= 1_000_000, f"poisson asked for {entries} entries"
+        return self._rng.poisson(lam, size)
+
+
+def test_atomic_increments_cost_draws_plus_jumps():
+    # 1e5 increments of a 1e4-atom measure: one Poisson total per draw and
+    # inverse-CDF jumps, never a (draws x atoms) Poisson request
+    rng = child_rng(77)
+    nu = levy.LevyMeasure.atomic(rng.uniform(0.1, 2.0, 10_000), rng.uniform(0.0, 4e-4, 10_000))
+    law = levy.spectrally_positive(nu)
+    t, n = 1.5, 100_000
+    x = law.sample_increment(t, _SmallPoissonRequests(child_rng(78)), size=(n,))
+    mu, var = t * law.mean(), t * law.variance()
+    assert x.mean() == pytest.approx(mu, abs=4 * np.sqrt(var / n))
+    assert x.var(ddof=1) == pytest.approx(var, rel=0.05)
+    assert law.truncation_info() == {"eps": 0.0, "rate": float(nu.masses.sum()),
+                                     "compensator_mean": 0.0}

@@ -180,3 +180,9 @@ def test_deterministic_service_mean_and_rate_validation():
         model.rho, abs=4 * np.sqrt(model.rho / n))
     with pytest.raises(PreconditionError):
         mginf.MGInfinityModel(0.0, SERVICES["exponential"])
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, True, "2", None], ids=repr)
+def test_arrival_rate_is_positive_and_finite(rate):
+    with pytest.raises(PreconditionError, match="^arrival_rate"):
+        mginf.MGInfinityModel(rate, corr.ServiceDistribution.exponential(1.0))

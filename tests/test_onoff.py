@@ -110,6 +110,11 @@ class TestSingleSource:
         with pytest.raises(PreconditionError, match="positive and finite"):
             onoff.OnOffSource(lam=lam, mu=mu, r=r)
 
+    @pytest.mark.parametrize("lam, mu, r", [(True, 1.0, 1.0), (1.0, "1", 1.0), (1.0, 1.0, None)])
+    def test_parameters_are_numbers(self, lam, mu, r):
+        with pytest.raises(PreconditionError, match="expected a number"):
+            onoff.OnOffSource(lam=lam, mu=mu, r=r)
+
     def test_validation(self):
         src = onoff.OnOffSource(lam=1.0, mu=1.0, r=1.0)
         with pytest.raises(PreconditionError):
@@ -150,6 +155,14 @@ class TestArraySpec:
     def test_mu_positive_and_finite(self, mu):
         with pytest.raises(PreconditionError, match="mu must be positive and finite"):
             onoff.OnOffArraySpec("power_example", mu=mu, alpha_exp=0.5, b=0.5)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(mu=True), dict(alpha_exp="0.5"), dict(b=None), dict(b=1.0), dict(alpha_exp=np.nan),
+    ], ids=repr)
+    def test_power_example_parameters_are_finite_numbers(self, kwargs):
+        with pytest.raises(PreconditionError, match=f"^{next(iter(kwargs))}"):
+            onoff.OnOffArraySpec("power_example", **{"mu": 1.0, "alpha_exp": 0.5, "b": 0.5,
+                                                     **kwargs})
 
     @pytest.mark.parametrize("first, match", [
         ((np.nan, 1.0), "positive and finite"), ((0.1, np.inf), "positive and finite"),
