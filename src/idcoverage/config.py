@@ -11,6 +11,7 @@ import inspect
 import numpy as np
 
 from . import corr, levy, onoff, stats
+from .errors import PreconditionError, finite
 
 
 class ConfigError(ValueError):
@@ -41,8 +42,9 @@ _KINDS = {
     "structure": {"exponential": corr.exponential_structure, "power": corr.power_structure,
                   "integrated_tail": corr.integrated_tail_structure,
                   "mixture": corr.mixture_structure},
+    # the config field alpha is the spec's alpha_exp: check it under the field's name
     "array": {"power_example": lambda mu, alpha, b: onoff.OnOffArraySpec(
-                  "power_example", mu, alpha_exp=alpha, b=b),
+                  "power_example", mu, alpha_exp=finite(alpha, "alpha", "(0, 1)"), b=b),
               "explicit": lambda mu, rows: onoff.OnOffArraySpec("explicit", mu, rows=rows)},
 }
 
@@ -133,31 +135,38 @@ def grid_from_config(seq, path="grid"):
     return _wrap(path, corr.TimeGrid, tuple(seq))
 
 
+def _finite_values(values, loc, name):
+    """``values``, named ``name`` within field ``loc``, as a 1-d float array
+    of finite numbers, else a ConfigError "<loc>: expected finite numbers"
+    that says which value failed."""
+    try:
+        return finite(values, name, vector=True)
+    except PreconditionError as exc:
+        raise ConfigError(f"{loc}: expected finite numbers; {exc}") from exc
+
+
 def thetas_from_config(d, n, path=""):
     """Explicit theta vectors under "thetas", or a per-coordinate product
     grid under "theta_grid" (a single list is broadcast to all coordinates).
-    Every value must be a finite number."""
-    loc = f"{path}thetas" if "thetas" in d else f"{path}theta_grid"
-    if "thetas" in d:
-        rows = d["thetas"]
-        if not isinstance(rows, list) or not rows:
-            raise ConfigError(f"{loc}: expected a nonempty list")
-        if not isinstance(rows[0], list):
-            rows = [[v] for v in rows] if n == 1 else [rows]
-        arr = _wrap(loc, np.asarray, rows, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != n:
-            raise ConfigError(f"{loc}: each theta vector must have length {n}")
-    elif "theta_grid" in d:
-        per = d["theta_grid"]
-        if not isinstance(per, list) or not per:
-            raise ConfigError(f"{loc}: expected a nonempty list")
-        if isinstance(per[0], (int, float)):
-            per = [per] * n
-        if len(per) != n:
-            raise ConfigError(f"{loc}: need one coordinate grid per epoch ({n})")
-        arr = _wrap(loc, stats.theta_product_grid, per)
-    else:
+    Every value must be a finite number; a bool or a numeric string is not."""
+    if "thetas" not in d and "theta_grid" not in d:
         raise ConfigError(f"{path}thetas/theta_grid: one of the two is required")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{loc}: expected finite numbers, got {arr[~np.isfinite(arr)][0]}")
-    return arr
+    field = "thetas" if "thetas" in d else "theta_grid"
+    loc, seq = f"{path}{field}", d[field]
+    if not isinstance(seq, list) or not seq:
+        raise ConfigError(f"{loc}: expected a nonempty list")
+    if isinstance(seq[0], list):
+        lists = [_finite_values(v, loc, f"{loc}[{i}]") for i, v in enumerate(seq)]
+    elif field == "theta_grid":
+        lists = [_finite_values(seq, loc, loc)] * n
+    else:
+        # one theta vector, or on one epoch one value per vector
+        flat = _finite_values(seq, loc, loc)
+        lists = list(flat[:, None]) if n == 1 else [flat]
+    if field == "theta_grid":
+        if len(lists) != n:
+            raise ConfigError(f"{loc}: need one coordinate grid per epoch ({n})")
+        return stats.theta_product_grid(lists)
+    if any(v.size != n for v in lists):
+        raise ConfigError(f"{loc}: each theta vector must have length {n}")
+    return np.array(lists)

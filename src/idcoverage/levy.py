@@ -45,7 +45,9 @@ _INVCDF_GRID = 8192
 _SERIES_MAX = 4.0  # Cin and Si by power series up to here, a continued fraction beyond
 _SERIES_TERMS = 20  # the last term at x = 4 is below 1e-21
 _CF_MAXIT = 100  # the continued fraction converges in under 70 steps for x > 4
-_ATOM_CHUNK_ELEMENTS = 1 << 14  # thetas x atoms per exponent block: 256 KB complex, in cache
+# thetas x atoms per exponent block, and thetas x sources per block of onoff's
+# row CF: 256 KB complex, in cache
+_ATOM_CHUNK_ELEMENTS = 1 << 14
 
 
 def _quad(f, a, b, points=None):

@@ -268,6 +268,14 @@ def _chain_log_cf(lam, mu, r, t, thetas):
     """Exact joint log CF at epochs t of the summed independent sources: one
     forward pass of each source's two-state chain with CF weights.
 
+    Sources run in blocks of at most levy._ATOM_CHUNK_ELEMENTS // M, and each
+    block's sum of log CFs adds into an (M,) total, so memory does not grow
+    with the row.  When the M theta rows form a product grid, in any order
+    (stats._product_grid), the pass keeps one chain state per distinct prefix
+    (theta_1, ..., theta_k) and builds e^{i theta_k r} once per distinct
+    value: sum_k prod_{l<=k} q_l state rows instead of m M.  Other stacks
+    carry every row through every epoch.
+
     thetas may be one vector (m,) or a stack (M, m); complex scalar or (M,).
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -275,19 +283,30 @@ def _chain_log_cf(lam, mu, r, t, thetas):
     th = np.atleast_2d(thetas)
     if th.shape[1] != t.size:
         raise PreconditionError("theta length must match the grid")
+    grid = stats._product_grid(th)
+    columns = th.T if grid is None else grid[0]
     pi = lam / (lam + mu)
-    # w has shape (M, n, 2): chain state weights per theta row and source
-    w = np.empty((th.shape[0], r.size, 2), dtype=complex)
-    w[:, :, 0] = 1.0 - pi
-    w[:, :, 1] = pi
-    for k in range(t.size):
-        w[:, :, 1] *= np.exp(1j * np.multiply.outer(th[:, k], r))
-        if k + 1 < t.size:
-            p01, p11 = _on_probs(lam, mu, t[k + 1] - t[k])
-            w0 = w[:, :, 0] * (1.0 - p01) + w[:, :, 1] * (1.0 - p11)
-            w1 = w[:, :, 0] * p01 + w[:, :, 1] * p11
-            w[:, :, 0], w[:, :, 1] = w0, w1
-    out = np.log(w.sum(axis=2)).sum(axis=1)
+    mu = np.broadcast_to(mu, lam.shape)
+    total = np.zeros(th.shape[0], dtype=complex)
+    block = max(1, levy._ATOM_CHUNK_ELEMENTS // max(th.shape[0], 1))
+    for lo in range(0, r.size, block):
+        part = slice(lo, lo + block)
+        size = r[part].size
+        # chain state weights (OFF, ON), one row per prefix or theta row
+        w0, w1 = 1.0 - pi[None, part], pi[None, part]
+        for k in range(t.size):
+            factor = np.exp(1j * np.multiply.outer(columns[k], r[part]))
+            if grid is None:
+                w1 = w1 * factor
+            else:
+                # a child state per (prefix, value), prefix-major
+                w0, w1 = w0[:, None], w1[:, None] * factor
+            if k + 1 < t.size:
+                p01, p11 = _on_probs(lam[part], mu[part], t[k + 1] - t[k])
+                w0, w1 = ((w0 * (1.0 - p01) + w1 * (1.0 - p11)).reshape(-1, size),
+                          (w0 * p01 + w1 * p11).reshape(-1, size))
+        total += np.log(w0 + w1).sum(axis=-1).reshape(-1)
+    out = total if grid is None else total[grid[1]]
     return complex(out[0]) if single else out
 
 

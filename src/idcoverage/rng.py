@@ -8,8 +8,6 @@ same seed yields bit-identical output no matter how many worker threads run
 the batches.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 DEFAULT_BATCH = 100_000
@@ -42,6 +40,9 @@ def run_batched(fn, total, seed, stream=0, batch=DEFAULT_BATCH, threads=1):
     sizes = batch_sizes(total, batch) or [0]
     rngs = [child_rng(seed, stream, b) for b in range(len(sizes))]
     if threads > 1 and len(sizes) > 1:
+        # imported here: a one-thread run, every CLI start included, skips its import
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(fn, rngs, sizes))
     else:

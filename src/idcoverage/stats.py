@@ -51,7 +51,9 @@ def _distinct_rows(samples):
 
     Rows collapse through a one-dimensional mixed-radix int64 key, so the
     sample must be finite, integer-valued and small enough that the key
-    stays below 2**62.  The distinct rows come out in key order.
+    stays below 2**62.  The distinct rows come out in key order: counted by
+    np.bincount and decoded from the occupied keys when the key span is at
+    most the row count, else sorted by np.unique.
     """
     every = samples, np.ones(samples.shape[0])
     # NaN and inf fail the magnitude test
@@ -60,22 +62,27 @@ def _distinct_rows(samples):
     ints = samples.astype(np.int64)
     lo = ints.min(axis=0)
     radix = ints.max(axis=0) - lo + 1
-    if np.prod(radix.astype(float)) >= 2.0**62:
+    span = np.prod(radix.astype(float))
+    if span >= 2.0**62:
         return every
     strides = np.cumprod(radix[::-1])[::-1] // radix
     key = (ints - lo) @ strides
+    if span <= samples.shape[0]:
+        counts = np.bincount(key)
+        occupied = np.flatnonzero(counts)
+        rows = (occupied[:, None] // strides % radix + lo).astype(float)
+        return rows, counts[occupied].astype(float)
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
     return samples[first], counts.astype(float)
 
 
-def _factored_grid(rows, thetas):
-    """(values, flat) when the factored sums apply, else None.
+def _product_grid(thetas):
+    """(values, flat) when the rows of ``thetas`` are exactly the rows of the
+    product of its per-column unique values, in any order, else None.
 
-    They apply when the rows of ``thetas`` are exactly the rows of the
-    product of its per-column unique values, in any order, and no phase
-    theta . row can exceed ``_FACTORED_MAX_PHASE``.  ``values[k]`` holds
-    column k's sorted unique values and ``flat[i]`` the position of theta
-    row i in ``theta_product_grid(values)``.
+    ``values[k]`` holds column k's sorted unique values and ``flat[i]`` the
+    position of theta row i in ``theta_product_grid(values)``.  An empty or
+    non-finite stack is not a product grid.
     """
     if thetas.size == 0 or not np.isfinite(thetas).all():
         return None
@@ -84,14 +91,22 @@ def _factored_grid(rows, thetas):
     sizes = [v.size for v in values]
     if np.prod(np.array(sizes, dtype=float)) != thetas.shape[0]:
         return None
-    # NaN or inf in the sample fails this test too
-    phase = sum(np.abs(v).max() * np.abs(x).max() for v, x in zip(values, rows.T))
-    if not phase <= _FACTORED_MAX_PHASE:
-        return None
     flat = np.ravel_multi_index(where, sizes)
     if np.bincount(flat).max() > 1:
         return None
     return values, flat
+
+
+def _factored_grid(rows, thetas):
+    """``_product_grid(thetas)`` when the factored sums apply, else None: they
+    need a product grid on which no phase theta . row can exceed
+    ``_FACTORED_MAX_PHASE``."""
+    grid = _product_grid(thetas)
+    if grid is None:
+        return None
+    # NaN or inf in the sample fails this test too
+    phase = sum(np.abs(v).max() * np.abs(x).max() for v, x in zip(grid[0], rows.T))
+    return grid if phase <= _FACTORED_MAX_PHASE else None
 
 
 def _centred_sums(rows, counts, thetas):

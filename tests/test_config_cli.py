@@ -186,7 +186,7 @@ NUMERIC_FIELDS = [
     ("array", {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
      ("mu",), "array: mu"),
     ("array", {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
-     ("alpha",), "array: alpha_exp"),
+     ("alpha",), "array: alpha"),
     ("array", {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
      ("b",), "array: b"),
     ("array", {"kind": "explicit", "mu": 1.0, "rows": {"2": [[0.1, 1.0], [0.2, 0.5]]}},
@@ -311,6 +311,9 @@ NONFINITE_THETAS = [
     ("thetas", [[1.0, float("inf")]]),
     ("theta_grid", [-1.0, float("-inf")]),
     ("theta_grid", [[1.0], [float("nan")]]),
+    # a bool or a numeric string is not a number either
+    ("theta_grid", [1.0, True, "2"]),
+    ("thetas", [["0.5", False]]),
 ]
 
 
@@ -567,6 +570,19 @@ def test_import_leaves_scipy_unloaded():
     law = levy.spectrally_positive(
         levy.LevyMeasure.from_density(lambda x: 1.0 / x, 0.0, 1.0))
     assert complex(res.stdout) == complex(law.eval(1.0))
+
+
+def test_import_leaves_thread_pool_unloaded():
+    """Only a run with threads > 1 imports concurrent.futures."""
+    code = ("import sys\n"
+            "import idcoverage.cli\n"
+            "assert 'concurrent.futures' not in sys.modules, 'idcoverage.cli'\n"
+            "from idcoverage import rng\n"
+            "rng.run_batched(lambda r, c: r.random(c), 4, 1, batch=2, threads=2)\n"
+            "assert 'concurrent.futures' in sys.modules, 'threads=2'\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_src_env())
+    assert res.returncode == 0, res.stderr
 
 
 def test_reciprocal_measure_runs_leave_scipy_unloaded(tmp_path):
@@ -870,6 +886,20 @@ def test_bad_onoff_array_refused_before_sampling(tmp_path, monkeypatch, capsys, 
     out = str(tmp_path / "rows.csv")
     assert cli.main(["simulate-onoff", "--config", conf, "--out", out]) == 2
     assert "config error: array: " in capsys.readouterr().err
+    assert calls == []
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_power_example_error_names_the_config_field(tmp_path, monkeypatch, capsys):
+    """The spec calls the exponent alpha_exp; the config and its errors call it alpha."""
+    calls = _sampler_calls(monkeypatch)
+    array = {"kind": "power_example", "mu": 1.0, "alpha": 1.5, "b": 0.5}
+    conf = write_config(tmp_path, "c.json", dict(TestSimulateOnoff.CONF, array=array, n=2))
+    out = str(tmp_path / "rows.csv")
+    assert cli.main(["simulate-onoff", "--config", conf, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error: array: alpha must be finite and in (0, 1), got 1.5" in err
+    assert "alpha_exp" not in err
     assert calls == []
     assert os.listdir(tmp_path) == ["c.json"]
 

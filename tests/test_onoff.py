@@ -8,6 +8,7 @@ Oracle hierarchy:
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +316,104 @@ class TestRowCfAndSuperposition:
         # allowance with margin at these replication counts
         for r in rows:
             assert abs(r["sup"] - r["analytic_bias"]) <= allowance
+
+
+def reference_chain_log_cf(lam, mu, r, t, thetas):
+    """The forward pass over every (theta row, source) pair at once: an
+    (M, n, 2) array of chain state weights, summed over the whole row."""
+    th = np.atleast_2d(thetas)
+    pi = lam / (lam + mu)
+    w = np.empty((th.shape[0], r.size, 2), dtype=complex)
+    w[:, :, 0], w[:, :, 1] = 1.0 - pi, pi
+    for k in range(t.size):
+        w[:, :, 1] *= np.exp(1j * np.multiply.outer(th[:, k], r))
+        if k + 1 < t.size:
+            p01, p11 = onoff._on_probs(lam, mu, t[k + 1] - t[k])
+            w[:, :, 0], w[:, :, 1] = (w[:, :, 0] * (1.0 - p01) + w[:, :, 1] * (1.0 - p11),
+                                      w[:, :, 0] * p01 + w[:, :, 1] * p11)
+    return np.log(w.sum(axis=2)).sum(axis=1)
+
+
+EPOCHS4 = np.array([0.0, 0.5, 1.0, 2.0])
+
+
+def _row(n, seed=5):
+    gen = np.random.default_rng(seed)
+    return gen.uniform(0.01, 0.5, n), gen.uniform(0.1, 3.0, n)
+
+
+class TestChainKernel:
+    """_chain_log_cf streams sources in blocks and, on product grids, runs the
+    chain once per theta prefix; the reference is the whole-row pass."""
+
+    @staticmethod
+    def _generic(monkeypatch):
+        monkeypatch.setattr(stats, "_product_grid", lambda thetas: None)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_product_path_matches_generic_on_permuted_grid(self, monkeypatch, m):
+        lam, r = _row(300)
+        mu = np.linspace(0.5, 2.0, 300)   # a per-source rate
+        t = EPOCHS4[:m]
+        per = [[-2.0, 0.5, 1.0], [-1.0, 0.25], [0.5, 3.0, -0.75], [1.5, -0.5]][:m]
+        grid = stats.theta_product_grid(per)
+        thetas = grid[np.random.default_rng(m).permutation(grid.shape[0])]
+        assert stats._product_grid(thetas) is not None
+        product = onoff._chain_log_cf(lam, mu, r, t, thetas)
+        self._generic(monkeypatch)
+        generic = onoff._chain_log_cf(lam, mu, r, t, thetas)
+        np.testing.assert_allclose(product, generic, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(product, reference_chain_log_cf(lam, mu, r, t, thetas),
+                                   rtol=0, atol=1e-12)
+
+    def test_single_theta_vector_is_a_complex_scalar(self, monkeypatch):
+        lam, r = _row(200)
+        theta = np.array([0.7, -1.2, 0.4])
+        product = onoff._chain_log_cf(lam, 1.3, r, EPOCHS4[:3], theta)
+        assert isinstance(product, complex)
+        self._generic(monkeypatch)
+        generic = onoff._chain_log_cf(lam, 1.3, r, EPOCHS4[:3], theta)
+        assert isinstance(generic, complex)
+        assert abs(product - generic) <= 1e-12
+        assert abs(product - reference_chain_log_cf(lam, 1.3, r, EPOCHS4[:3], theta)[0]) <= 1e-12
+
+    def test_non_product_stack_takes_generic_path(self, monkeypatch):
+        lam, r = _row(150)
+        grid = stats.theta_product_grid([[-1.0, 0.5, 2.0]] * 2)
+        thetas = np.vstack([grid[1:], [[0.3, 0.3]]])   # one row swapped for an outsider
+        seen = []
+        detect = stats._product_grid
+        monkeypatch.setattr(stats, "_product_grid", lambda th: seen.append(detect(th)) or seen[-1])
+        got = onoff._chain_log_cf(lam, 1.0, r, EPOCHS4[:2], thetas)
+        assert seen == [None]
+        np.testing.assert_allclose(got, reference_chain_log_cf(lam, 1.0, r, EPOCHS4[:2], thetas),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("product", [True, False])
+    def test_many_blocks_match_one_block(self, monkeypatch, product):
+        lam, r = _row(1000)
+        thetas = stats.theta_product_grid([[-1.0, 0.5, 2.0]] * 3)
+        if not product:
+            thetas = thetas[:-1]
+        one = onoff._chain_log_cf(lam, 1.0, r, EPOCHS4[:3], thetas)
+        # 3 sources per block, the last block short
+        monkeypatch.setattr(levy, "_ATOM_CHUNK_ELEMENTS", 3 * thetas.shape[0])
+        many = onoff._chain_log_cf(lam, 1.0, r, EPOCHS4[:3], thetas)
+        np.testing.assert_allclose(many, one, rtol=0, atol=1e-12)
+
+    def test_row_cf_memory_does_not_grow_with_row(self):
+        # the whole-row pass held (1296 x 20,000 x 2) complex weights, 830 MB,
+        # and several (M x n) temporaries
+        spec = onoff.OnOffArraySpec("power_example", mu=1.0, alpha_exp=0.5, b=0.5)
+        thetas = stats.theta_product_grid([[-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]] * 4)
+        tracemalloc.start()
+        try:
+            out = onoff.row_joint_log_cf(spec, 20_000, EPOCHS4, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1296,) and np.isfinite(out).all()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def reference_path(src, t, rng, reps):

@@ -165,6 +165,21 @@ class TestDistinctRows:
         # the dense loop's one-pass variance leaves ~6e-9 here; the true value is 0
         np.testing.assert_allclose(emp.stderr, 0.0, rtol=0, atol=1e-15)
 
+    def test_counted_and_sorted_keys_agree(self):
+        # 300 rows over a key span of 9^3 = 729 sort by np.unique; the same
+        # rows tiled 3 times (900 >= 729) are counted by np.bincount
+        rng = np.random.default_rng(23)
+        x = np.clip(rng.poisson(2.0, (300, 3)), 0, 8).astype(float) - 3.0
+        x[:3] = [[-3.0, 5.0, -3.0], [5.0, -3.0, 5.0], [-3.0, -3.0, -3.0]]
+        want_rows, want_counts = np.unique(x, axis=0, return_counts=True)
+        sorted_rows, sorted_counts = stats._distinct_rows(x)
+        counted_rows, counted_counts = stats._distinct_rows(np.tile(x, (3, 1)))
+        for rows, counts, k in ((sorted_rows, sorted_counts, 1), (counted_rows, counted_counts, 3)):
+            np.testing.assert_array_equal(rows, want_rows)
+            np.testing.assert_array_equal(counts, k * want_counts)
+            assert rows.dtype == float and counts.dtype == float
+        self.assert_matches_dense(np.tile(x, (3, 1)), stats.theta_product_grid([[-1.0, 0.3]] * 3))
+
     def test_key_overflow_falls_back(self):
         # four columns spanning 2**21 each: the mixed-radix key would reach
         # ~2**84, and rows 0 and 1 differ in key by exactly 2**64
