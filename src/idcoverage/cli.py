@@ -20,7 +20,9 @@ from .errors import BoundViolationError, PreconditionError, QuadratureError, fin
 
 _DEFAULT_THETA = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
 _DEFAULT_THETA_MAX_EPOCHS = 6   # 6^6 = 46,656 default theta vectors
-_CSV_BLOCK_ROWS = 4096          # rows per format call: a few MB of strings at most
+# values per format call: 2**15 Python numbers and their text take about
+# 2 MB, whatever the row width
+_CSV_BLOCK_ELEMENTS = 2**15
 _ASSUMPTION_DEFAULTS = {"n_list": [100, 1000, 10000], "x_probe": [0.25, 0.5, 0.75],
                         "eps_list": [0.1, 0.05], "rtol_tail": 0.02}
 # every top-level config field some command reads; any other is refused
@@ -131,19 +133,22 @@ def _write_csv(path, arr, force, header=None):
     """Write ``arr`` as CSV under ``header``, by default x1..xn: integers
     as %d, floats as %.17g.  The bytes are those np.savetxt writes, which
     applies the same ``%`` format one row at a time; here one ``%`` call
-    formats a whole block of _CSV_BLOCK_ROWS rows."""
+    formats a block of whole rows holding at most _CSV_BLOCK_ELEMENTS values
+    (one row, when a row is wider), so besides ``arr`` the write holds one
+    block's Python numbers and text, whatever the width."""
     _guard_out(path, force)
     arr = np.atleast_2d(arr)
     if header is None:
         header = ",".join(f"x{k + 1}" for k in range(arr.shape[1]))
     fmt = "%d" if np.issubdtype(arr.dtype, np.integer) else "%.17g"
     line = ",".join([fmt] * arr.shape[1]) + "\n"
+    rows = max(1, _CSV_BLOCK_ELEMENTS // max(arr.shape[1], 1))
 
     def write(fh):
         if header:
             fh.write(header + "\n")
-        for start in range(0, arr.shape[0], _CSV_BLOCK_ROWS):
-            block = arr[start:start + _CSV_BLOCK_ROWS]
+        for start in range(0, arr.shape[0], rows):
+            block = arr[start:start + rows]
             fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
     _replace_into(path, write)
@@ -216,17 +221,20 @@ def cmd_simulate_coverage(args):
     grid = cfg.grid_from_config(conf.get("grid"), "grid")
     # refuse before sampling, not after a long run
     thetas = _thetas(conf, len(grid))
+    if _reps_seed(args, conf)[0] < 2:
+        raise CliError("simulate-coverage needs reps >= 2: its report holds "
+                       "sample variances")
     _guard_out(args.out, args.force)
     report_path = _guard_out(os.path.splitext(args.out)[0] + ".json", args.force)
     samples = _draw(args, conf, lambda rng, count: model.simulate(grid, rng, size=count))
     _write_csv(args.out, samples, args.force)
-    values = np.asarray(samples, dtype=float)
-    emp = stats.empirical_cf(values, thetas)
+    # integer counts go to the estimator as they are, never copied to float
+    emp = stats.empirical_cf(samples, thetas)
     analytic = np.exp(np.atleast_1d(model.log_cf(grid, thetas)))
     report = stats.cf_report(emp, stats.cf_distance(emp, analytic))
     report["rho"] = model.rho
-    report["epoch_means"] = values.mean(axis=0).tolist()
-    report["epoch_variances"] = values.var(axis=0, ddof=1).tolist()
+    report["epoch_means"] = samples.mean(axis=0).tolist()
+    report["epoch_variances"] = samples.var(axis=0, ddof=1).tolist()
     _write_json(report_path, report, args.force)
     return 0
 

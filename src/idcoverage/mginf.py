@@ -71,6 +71,12 @@ class MGInfinityModel:
         are drawn last, so point-mass marks leave the stream unchanged.
         Returns int64 counts (float64 sums when marked), shape (n,) or
         (size, n).
+
+        Each customer is kept as its owner (an index into the reps) and the
+        first epoch it covers and the first it no longer covers, both indices
+        into the grid in the smallest integer dtype that holds n, so besides
+        the output and the marks the draw holds 8 + 2 bytes per customer and
+        the float times of one cohort while they are located on the grid.
         """
         t = grid.t
         n = t.size
@@ -79,15 +85,24 @@ class MGInfinityModel:
         present = rng.poisson(self.rho, size=reps)
         fresh = rng.poisson(self.arrival_rate * span, size=reps)
         n0, n1 = int(present.sum()), int(fresh.sum())
-        arrive = np.concatenate([np.full(n0, t[0]), t[-1] - span * rng.uniform(size=n1)])
-        depart = arrive + np.concatenate([self.service.sample_residual(n0, rng),
-                                          self.service.sample(n1, rng)])
+        index = np.min_scalar_type(n)
+
+        def epoch(times):
+            """Index of the first epoch at or after each time."""
+            return np.searchsorted(t, times).astype(index)
+
+        # customer c covers epoch k when t[k] is in [arrival, departure)
+        arrive = t[-1] - span * rng.uniform(size=n1)
+        first = np.concatenate([np.zeros(n0, dtype=index), epoch(arrive)])
+        stop = np.concatenate([epoch(t[0] + self.service.sample_residual(n0, rng)),
+                               epoch(arrive + self.service.sample(n1, rng))])
+        del arrive
         weights = None if self.marks is None else self.marks.sample(n0 + n1, rng)
-        owner = np.concatenate([np.repeat(np.arange(reps), present),
-                                np.repeat(np.arange(reps), fresh)])
+        every = np.arange(reps)
+        owner = np.repeat(np.concatenate([every, every]), np.concatenate([present, fresh]))
         out = np.zeros((reps, n), dtype=np.int64 if weights is None else np.float64)
         for k in range(n):
-            active = (arrive <= t[k]) & (depart > t[k])
+            active = (first <= k) & (stop > k)
             w = None if weights is None else weights[active]
             out[:, k] = np.bincount(owner[active], weights=w, minlength=reps)
         return out[0] if size is None else out

@@ -305,7 +305,10 @@ def _chain_log_cf(lam, mu, r, t, thetas):
                 p01, p11 = _on_probs(lam[part], mu[part], t[k + 1] - t[k])
                 w0, w1 = ((w0 * (1.0 - p01) + w1 * (1.0 - p11)).reshape(-1, size),
                           (w0 * p01 + w1 * p11).reshape(-1, size))
-        total += np.log(w0 + w1).sum(axis=-1).reshape(-1)
+        z = w0 + w1
+        # log|z| + i arg z is the principal log, several times faster than
+        # complex np.log and within a few ulp of it per term
+        total += (np.log(np.abs(z)).sum(axis=-1) + 1j * np.angle(z).sum(axis=-1)).reshape(-1)
     out = total if grid is None else total[grid[1]]
     return complex(out[0]) if single else out
 

@@ -32,9 +32,13 @@ def batch_sizes(total, batch=DEFAULT_BATCH):
 def run_batched(fn, total, seed, stream=0, batch=DEFAULT_BATCH, threads=1):
     """Evaluate ``fn(rng, count)`` over a fixed batch partition of ``total``.
 
-    ``fn`` must return an ndarray whose leading axis has length ``count``.
-    Results are concatenated in batch order; ``threads`` only controls how
-    many batches run concurrently, never the output.
+    ``fn`` must return an ndarray whose leading axis has length ``count``,
+    with the same trailing shape and dtype in every batch.  A single batch
+    is returned as ``fn`` made it.  Several are copied, in batch order, into
+    one result preallocated from the first batch, so besides that result
+    the run holds only the batches not yet copied: one at ``threads`` 1.
+    ``threads`` only controls how many batches run concurrently, never the
+    output.
     """
     # an empty run still makes one call, so the result keeps fn's trailing shape
     sizes = batch_sizes(total, batch) or [0]
@@ -44,7 +48,27 @@ def run_batched(fn, total, seed, stream=0, batch=DEFAULT_BATCH, threads=1):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, rngs, sizes))
-    else:
-        parts = [fn(r, c) for r, c in zip(rngs, sizes)]
-    return np.concatenate(parts, axis=0)
+            return _stitch(pool.map(fn, rngs, sizes), sizes)
+    return _stitch(map(fn, rngs, sizes), sizes)
+
+
+def _stitch(parts, sizes):
+    """The batches that the iterator ``parts`` yields, ``sizes`` rows each, as
+    one array: the only batch itself, else a preallocated copy filled in
+    batch order."""
+    part = next(parts)
+    if len(sizes) == 1:
+        return part
+    trailing, dtype = part.shape[1:], part.dtype
+    out = np.empty((sum(sizes),) + trailing, dtype=dtype)
+    start = 0
+    for size in sizes:
+        if part.shape != (size,) + trailing or part.dtype != dtype:
+            raise ValueError(f"a batch of shape {part.shape} and dtype {part.dtype} does "
+                             f"not fit ({size}, ...) rows of {trailing} {dtype}")
+        out[start:start + size] = part
+        start += size
+        # let this batch go before the next one is drawn
+        del part
+        part = next(parts, None)
+    return out

@@ -45,35 +45,50 @@ def theta_product_grid(per_coordinate):
     return np.array(rows, dtype=float)
 
 
+def _each_row(samples):
+    """Every row of ``samples`` as float64, with count 1."""
+    return samples.astype(float, copy=False), np.ones(samples.shape[0])
+
+
 def _distinct_rows(samples):
     """(rows, counts): the distinct rows of an integer-valued sample with their
     multiplicities, else every row with count 1.
 
     Rows collapse through a one-dimensional mixed-radix int64 key, so the
     sample must be finite, integer-valued and small enough that the key
-    stays below 2**62.  The distinct rows come out in key order: counted by
-    np.bincount and decoded from the occupied keys when the key span is at
-    most the row count, else sorted by np.unique.
+    stays below 2**62.  The distinct rows come out as float64 in key order:
+    counted by np.bincount and decoded from the occupied keys when the key
+    span is at most the row count, else sorted by np.unique.
+
+    The key is built one column at a time, so besides the sample this holds
+    the key, one int64 column and, for a float sample, that column's
+    integer test; an integer sample is never copied whole.  A sample that
+    does not collapse comes back as float64, a copy when it is integer.
     """
-    every = samples, np.ones(samples.shape[0])
+    n = samples.shape[0]
+    lo, hi = samples.min(axis=0), samples.max(axis=0)
     # NaN and inf fail the magnitude test
-    if not (np.all(np.abs(samples) < 2.0**62) and np.array_equal(samples, np.rint(samples))):
-        return every
-    ints = samples.astype(np.int64)
-    lo = ints.min(axis=0)
-    radix = ints.max(axis=0) - lo + 1
+    if not (np.all(lo > -2.0**62) and np.all(hi < 2.0**62)):
+        return _each_row(samples)
+    lo = lo.astype(np.int64)
+    radix = hi.astype(np.int64) - lo + 1
     span = np.prod(radix.astype(float))
     if span >= 2.0**62:
-        return every
+        return _each_row(samples)
     strides = np.cumprod(radix[::-1])[::-1] // radix
-    key = (ints - lo) @ strides
-    if span <= samples.shape[0]:
+    floating = not np.issubdtype(samples.dtype, np.integer)
+    key = np.zeros(n, dtype=np.int64)
+    for col, low, stride in zip(samples.T, lo, strides):
+        if floating and not np.array_equal(col, np.rint(col)):
+            return _each_row(samples)
+        key += (col.astype(np.int64) - low) * stride
+    if span <= n:
         counts = np.bincount(key)
         occupied = np.flatnonzero(counts)
         rows = (occupied[:, None] // strides % radix + lo).astype(float)
         return rows, counts[occupied].astype(float)
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
-    return samples[first], counts.astype(float)
+    return samples[first].astype(float, copy=False), counts.astype(float)
 
 
 def _product_grid(thetas):
@@ -188,7 +203,9 @@ def empirical_cf(samples, thetas):
     thetas: one rows x thetas block of cos and sin per chunk, with centred
     sums of squares that do not cancel when the sample is nearly constant.
     """
-    samples = np.atleast_1d(np.asarray(samples, dtype=float))
+    samples = np.atleast_1d(np.asarray(samples))
+    if not np.issubdtype(samples.dtype, np.signedinteger):
+        samples = samples.astype(float, copy=False)
     if samples.ndim == 1:
         samples = samples[:, None]
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))

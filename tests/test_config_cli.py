@@ -12,6 +12,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -535,9 +536,15 @@ _CSV_CASES = {
     "float specials": (np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1e308]]), None),
     "no rows": (np.empty((0, 3)), None),
     "one column": (np.linspace(-1.0, 1.0, 7)[:, None] / 3.0, None),
-    "block - 1 rows": (np.random.default_rng(1).normal(size=(4095, 2)), None),
-    "block rows": (np.random.default_rng(2).integers(-50, 50, size=(4096, 3)), None),
-    "block + 1 rows": (np.random.default_rng(3).normal(size=(4097, 2)), None),
+    # a block holds _CSV_BLOCK_ELEMENTS // width whole rows
+    "block - 1 rows": (np.random.default_rng(1).normal(
+        size=(cli._CSV_BLOCK_ELEMENTS // 2 - 1, 2)), None),
+    "block rows": (np.random.default_rng(2).integers(
+        -50, 50, size=(cli._CSV_BLOCK_ELEMENTS // 3, 3)), None),
+    "block + 1 rows": (np.random.default_rng(3).normal(
+        size=(cli._CSV_BLOCK_ELEMENTS // 2 + 1, 2)), None),
+    "rows wider than a block": (np.random.default_rng(5).normal(
+        size=(3, cli._CSV_BLOCK_ELEMENTS + 1)), None),
     "custom header": (np.random.default_rng(4).normal(size=(5, 4)), "n,sup,l2,analytic_bias"),
 }
 
@@ -549,6 +556,19 @@ def test_write_csv_matches_savetxt(tmp_path, case):
     cli._write_csv(str(out), arr, force=False, header=header)
     _savetxt_reference(str(ref), arr, header)
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_write_csv_memory_does_not_grow_with_width(tmp_path):
+    """15,000 x 50 floats: each format call holds one block of Python floats
+    and their text, about 2 MB, not 4096 rows of them (12 MB here)."""
+    arr = np.random.default_rng(6).normal(size=(15_000, 50))
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(tmp_path / "wide.csv"), arr, force=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_import_leaves_scipy_unloaded():
@@ -700,6 +720,25 @@ class TestSimulateCoverage:
         out = str(tmp_path / "counts.csv")
         assert cli.main(["simulate-coverage", "--config", conf, "--out", out]) == 2
         assert message in capsys.readouterr().err
+        assert calls == []
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    @pytest.mark.parametrize("reps, flag", [(0, False), (1, False), (0, True), (1, True)])
+    def test_fewer_than_two_reps_refused_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                         reps, flag):
+        """The report's epoch variances need two rows; with fewer a run would
+        write the CSV and then fail, or report NaN, which is not JSON."""
+        calls = _sampler_calls(monkeypatch)
+        conf = write_config(tmp_path, "c.json", {
+            "arrival_rate": 1.0,
+            "service": {"kind": "exponential", "rate": 1.0},
+            "grid": [0.0, 1.0],
+            "reps": 400 if flag else reps,
+            "seed": 3,
+        })
+        argv = ["simulate-coverage", "--config", conf, "--out", str(tmp_path / "counts.csv")]
+        assert cli.main(argv + (["--reps", str(reps)] if flag else [])) == 2
+        assert "reps >= 2" in capsys.readouterr().err
         assert calls == []
         assert os.listdir(tmp_path) == ["c.json"]
 

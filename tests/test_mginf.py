@@ -186,3 +186,64 @@ def test_deterministic_service_mean_and_rate_validation():
 def test_arrival_rate_is_positive_and_finite(rate):
     with pytest.raises(PreconditionError, match="^arrival_rate"):
         mginf.MGInfinityModel(rate, corr.ServiceDistribution.exponential(1.0))
+
+
+def _mask_loop_simulate(model, grid, rng, size):
+    """The sampler with float arrival and departure times and two float
+    comparisons per customer and epoch: the reference for the epoch indices
+    that simulate keeps instead."""
+    t = grid.t
+    span = t[-1] - t[0]
+    present = rng.poisson(model.rho, size=size)
+    fresh = rng.poisson(model.arrival_rate * span, size=size)
+    n0, n1 = int(present.sum()), int(fresh.sum())
+    arrive = np.concatenate([np.full(n0, t[0]), t[-1] - span * rng.uniform(size=n1)])
+    depart = arrive + np.concatenate([model.service.sample_residual(n0, rng),
+                                      model.service.sample(n1, rng)])
+    weights = None if model.marks is None else model.marks.sample(n0 + n1, rng)
+    owner = np.concatenate([np.repeat(np.arange(size), present),
+                            np.repeat(np.arange(size), fresh)])
+    out = np.zeros((size, t.size), dtype=np.int64 if weights is None else np.float64)
+    for k in range(t.size):
+        active = (arrive <= t[k]) & (depart > t[k])
+        w = None if weights is None else weights[active]
+        out[:, k] = np.bincount(owner[active], weights=w, minlength=size)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SERVICES))
+@pytest.mark.parametrize("marks", [None, levy.MarkDistribution.normal(0.5, 1.0)])
+def test_simulate_equals_mask_loop(name, marks):
+    model = mginf.MGInfinityModel(1.7, SERVICES[name], marks=marks)
+    g = corr.TimeGrid([0.0, 0.3, 1.1, 2.4])
+    for seed in (106, 107):
+        got = model.simulate(g, child_rng(seed), size=3000)
+        want = _mask_loop_simulate(model, g, child_rng(seed), 3000)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+class _Scripted:
+    """A Generator stand-in that returns scripted draws in call order."""
+
+    def __init__(self, *draws):
+        self.draws = [np.asarray(d) for d in draws]
+
+    def poisson(self, lam, size):
+        return self.draws.pop(0)
+
+    def uniform(self, size):
+        return self.draws.pop(0)
+
+
+def test_simulate_counts_arrivals_at_an_epoch_and_not_departures():
+    """A customer covers the epochs in [arrival, departure): one arriving at
+    an epoch counts there, one leaving at an epoch does not."""
+    model = mginf.MGInfinityModel(1.0, corr.ServiceDistribution.deterministic(1.0))
+    g = corr.TimeGrid([0.0, 1.0, 2.0, 4.0])
+    # present [1, 1] leave at 0 + [1.0, 0.5]; fresh [2, 1] arrive at
+    # 4 - 4 * [0.5, 0.75, 0.0] = [2, 1, 4] and leave one unit later
+    draws = ([1, 1], [2, 1], [0.5, 0.75, 0.0], [1.0, 0.5])
+    want = [[1, 1, 1, 0], [1, 0, 0, 1]]
+    np.testing.assert_array_equal(model.simulate(g, _Scripted(*draws), size=2), want)
+    np.testing.assert_array_equal(_mask_loop_simulate(model, g, _Scripted(*draws), 2), want)

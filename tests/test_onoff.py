@@ -344,7 +344,13 @@ def _row(n, seed=5):
 
 class TestChainKernel:
     """_chain_log_cf streams sources in blocks and, on product grids, runs the
-    chain once per theta prefix; the reference is the whole-row pass."""
+    chain once per theta prefix; the reference is the whole-row pass.
+
+    The kernel takes each source's log as log|z| + i arg z, the reference
+    complex np.log.  Per term the two differ by under 5e-16 (|z| <= 1, |arg
+    z| <= pi; 4.6e-16 at most over 2.6e6 values near |z| = 1), so over the at
+    most 300 sources compared with the reference their sums differ by under
+    1.5e-13, below the 1e-12 tolerance with room for the summation order."""
 
     @staticmethod
     def _generic(monkeypatch):

@@ -1,9 +1,46 @@
 """Batched, seed-split ensembles."""
 
 import numpy as np
+import pytest
 
 from idcoverage import rng as rngmod
 
 
 def test_run_batched_empty_keeps_trailing_shape():
     assert rngmod.run_batched(lambda r, c: np.zeros((c, 3)), 0, 1).shape == (0, 3)
+
+
+def _rows(rng, count):
+    return rng.normal(size=(count, 3))
+
+
+def test_run_batched_single_batch_is_fn_result():
+    made = []
+
+    def fn(rng, count):
+        made.append(_rows(rng, count))
+        return made[-1]
+
+    out = rngmod.run_batched(fn, 50, 7, batch=100)
+    assert len(made) == 1 and np.shares_memory(out, made[0])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_batched_stitches_batches_in_order(threads):
+    out = rngmod.run_batched(_rows, 250, 7, batch=100, threads=threads)
+    want = np.concatenate([_rows(rngmod.child_rng(7, 0, b), c)
+                           for b, c in enumerate(rngmod.batch_sizes(250, 100))])
+    assert out.dtype == want.dtype
+    np.testing.assert_array_equal(out, want)
+
+
+@pytest.mark.parametrize("odd", [
+    lambda rng, count: np.zeros((count, 2)),                 # trailing shape
+    lambda rng, count: np.zeros((count, 3), dtype=np.int64),  # dtype
+])
+def test_run_batched_refuses_a_batch_unlike_the_first(odd):
+    def fn(rng, count):
+        return np.zeros((count, 3)) if count == 100 else odd(rng, count)
+
+    with pytest.raises(ValueError, match="batch"):
+        rngmod.run_batched(fn, 250, 7, batch=100)

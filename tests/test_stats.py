@@ -6,6 +6,8 @@ unchunked result exactly.  Row collapsing is checked against a dense loop
 over every row, kept here as the reference.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +192,44 @@ class TestDistinctRows:
         np.testing.assert_array_equal(rows, x)
         np.testing.assert_array_equal(weights, 1.0)
         self.assert_matches_dense(x, stats.theta_product_grid([[-1e-3, 2e-6]] * 4))
+
+    @pytest.mark.parametrize("tiles", [1, 3])   # sorted, then counted keys
+    def test_integer_and_float_copies_agree(self, tiles):
+        rng = np.random.default_rng(29)
+        x = np.tile(rng.poisson(2.0, (300, 3)) - rng.poisson(2.0, (300, 3)), (tiles, 1))
+        assert x.dtype == np.int64 and x.min() < 0
+        int_rows, int_counts = stats._distinct_rows(x)
+        float_rows, float_counts = stats._distinct_rows(x.astype(float))
+        assert int_rows.dtype == float and int_counts.dtype == float
+        np.testing.assert_array_equal(int_rows, float_rows)
+        np.testing.assert_array_equal(int_counts, float_counts)
+        assert int_rows.shape[0] < x.shape[0] // tiles
+
+    @pytest.mark.parametrize("x", [
+        np.array([[0, 1], [2**62, 1], [0, 1]]),                # an entry at 2**62
+        np.array([[0, 0, 0, 0], [2**21, 2**21, 2**21, 2**21], [0, 0, 0, 0]]),  # key span
+    ], ids=["magnitude", "span"])
+    def test_integer_sample_falls_back_past_the_key_guard(self, x):
+        rows, weights = stats._distinct_rows(x)
+        assert rows.dtype == float
+        np.testing.assert_array_equal(rows, x.astype(float))
+        np.testing.assert_array_equal(weights, 1.0)
+
+    def test_integer_counts_peak_below_the_sample(self):
+        """150,000 x 4 int64 counts collapse without a float copy of the
+        sample: the estimator's peak allocation stays below its nbytes."""
+        model = mginf.MGInfinityModel(
+            1.0, corr.ServiceDistribution.pareto_truncated(4.0, 1.0))
+        counts = model.simulate(corr.TimeGrid([0.0, 0.5, 1.0, 2.0]), child_rng(43),
+                                size=150_000)
+        thetas = stats.theta_product_grid([[-1.0, 1.0]] * 4)
+        tracemalloc.start()
+        try:
+            stats.empirical_cf(counts, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < counts.nbytes
 
     def test_nan_row_stays_nan(self):
         x = _mm_inf_counts(500).astype(float)
