@@ -26,7 +26,6 @@ from .errors import (
     BoundViolationError,
     ConcavityError,
     PreconditionError,
-    QuadratureError,
     UnsupportedMomentError,
 )
 from .fidi import CoverageProcess, FidiTriplet
@@ -75,7 +74,6 @@ __all__ = [
     "OnOffArraySpec",
     "OnOffSource",
     "PreconditionError",
-    "QuadratureError",
     "ServiceDistribution",
     "TimeGrid",
     "UnsupportedMomentError",

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config as cfg
 from . import corr, fidi, mginf, onoff, rng as rngmod, stats, verify
-from .errors import BoundViolationError, PreconditionError, QuadratureError, finite
+from .errors import BoundViolationError, PreconditionError, finite
 
 _DEFAULT_THETA = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
 _DEFAULT_THETA_MAX_EPOCHS = 6   # 6^6 = 46,656 default theta vectors
@@ -352,7 +352,7 @@ def main(argv=None):
     except cfg.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (PreconditionError, QuadratureError, BoundViolationError) as exc:
+    except (PreconditionError, BoundViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

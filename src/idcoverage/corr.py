@@ -190,6 +190,12 @@ class TimeGrid:
         return TimeGrid(tuple(x + tau for x in self.epochs))
 
 
+def as_grid(grid):
+    """``grid`` as a TimeGrid: a TimeGrid itself, or a strictly increasing
+    list, tuple or 1-d array of epochs."""
+    return grid if isinstance(grid, TimeGrid) else TimeGrid(grid)
+
+
 @dataclass
 class WeightMatrix:
     """Upper-triangular rectangle weights a[i,j] on a grid (0-based arrays)."""
@@ -226,6 +232,7 @@ def weights(structure, grid):
     Entries in [-1e-9, 0) are rounding debris and are clamped to zero;
     anything lower raises ConcavityError naming the entry.
     """
+    grid = as_grid(grid)
     t = grid.t
     # E[p, q] = H(t_q - t_p); only q >= p is meaningful
     E = np.atleast_2d(structure.eval(np.maximum(t[None, :] - t[:, None], 0.0)))

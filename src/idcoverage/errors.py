@@ -59,18 +59,6 @@ def probability_vector(values, weights, name, *, positive=False):
     return w
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge.
-
-    Carries the residual error estimate reported by the integrator so the
-    caller can decide whether the partial result is usable.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ConcavityError(ValueError):
     """A rectangle weight came out genuinely negative.
 

@@ -67,6 +67,7 @@ class CoverageProcess:
     def consistency_check(self, grid, theta, k):
         """Zeroing theta_k versus deleting epoch k (0-based); returns both."""
         theta = np.asarray(theta, dtype=float)
+        grid = corr.as_grid(grid)
         n = len(grid)
         if not 0 <= k < n:
             raise PreconditionError("k out of range")
@@ -75,9 +76,7 @@ class CoverageProcess:
         lhs = self.log_cf(grid, zeroed)
         if n == 1:
             return lhs, 0.0 + 0.0j
-        sub = corr.TimeGrid(tuple(np.delete(grid.t, k)))
-        rhs = self.log_cf(sub, np.delete(theta, k))
-        return lhs, rhs
+        return lhs, self.log_cf(np.delete(grid.t, k), np.delete(theta, k))
 
     # -- structure ------------------------------------------------------
 

@@ -12,10 +12,9 @@ Supported families:
 * ``spectrally_positive(measure)`` psi(t) = int (e^{itx} - 1) measure(dx)
   over (0, inf), requiring a finite first moment so no compensator is needed.
 
-Jump measures are atomic, a density on (lo, hi], or ``reciprocal_measure``:
-c/x on (0, 1] with c = 1/log(1/b), the limit measure of the ON/OFF arrays.
-The reciprocal kind is closed-form throughout, so no quadrature runs and
-scipy is never imported for it:
+Jump measures are atomic or ``reciprocal_measure``: c/x on (0, 1] with
+c = 1/log(1/b), the limit measure of the ON/OFF arrays.  Both kinds are
+closed-form throughout, so no quadrature runs.  For the reciprocal kind:
 
 * tail(x) = c*log(1/x) on (0, 1], inf at x <= 0
 * int x^q = c/q, int_[x, 1] y = c*(1 - x), int_(0, eps) y = c*eps
@@ -23,8 +22,6 @@ scipy is never imported for it:
   series up to 4 and a continued fraction for E1(ix) beyond (Abramowitz &
   Stegun 5.2; ``cisi`` in Press et al., Numerical Recipes)
 * jumps of the eps-truncated law are eps**(1 - U), U uniform
-
-Only densities integrate by quadrature, importing scipy at their first call.
 
 Each law knows its first/second/fourth cumulants and can draw the increment
 over an interval of length ``t`` exactly (or, for infinite-activity jump
@@ -36,36 +33,14 @@ import math
 
 import numpy as np
 
-from .errors import (PreconditionError, QuadratureError, UnsupportedMomentError, finite,
-                     probability_vector)
+from .errors import PreconditionError, UnsupportedMomentError, finite, probability_vector
 
-_QUAD_RTOL = 1e-10
-_QUAD_ATOL = 1e-14
-_INVCDF_GRID = 8192
 _SERIES_MAX = 4.0  # Cin and Si by power series up to here, a continued fraction beyond
 _SERIES_TERMS = 20  # the last term at x = 4 is below 1e-21
 _CF_MAXIT = 100  # the continued fraction converges in under 70 steps for x > 4
 # thetas x atoms per exponent block, and thetas x sources per block of onoff's
 # row CF: 256 KB complex, in cache
 _ATOM_CHUNK_ELEMENTS = 1 << 14
-
-
-def _quad(f, a, b, points=None):
-    """Adaptive quadrature with a hard failure on non-convergence."""
-    from scipy import integrate  # imported here: runs that never integrate skip it
-
-    kwargs = dict(epsabs=_QUAD_ATOL, epsrel=_QUAD_RTOL, limit=400, full_output=1)
-    if points is not None and np.isfinite([a, b]).all():
-        kwargs["points"] = points
-    out = integrate.quad(f, a, b, **kwargs)
-    val, err = out[0], out[1]
-    if len(out) > 3:  # quadpack flagged trouble; tolerate a dominated residual
-        if err > max(_QUAD_ATOL, abs(val) * 1e-8):
-            raise QuadratureError(
-                f"quadrature on [{a}, {b}] did not converge (residual {err:.2e})",
-                residual=err,
-            )
-    return val
 
 
 def _cin_si(x):
@@ -112,28 +87,17 @@ def _cin_si(x):
 
 
 class LevyMeasure:
-    """A measure on (0, inf): finitely many atoms, a density on (lo, hi], or
-    the reciprocal measure c/x on (0, 1].
+    """A measure on (0, inf): finitely many atoms, or the reciprocal
+    measure c/x on (0, 1].  Every functional of either kind is a closed form."""
 
-    Density supports must have a finite upper endpoint; every measure this
-    package needs lives on a bounded interval.  The density may blow up at
-    the lower endpoint as long as x*f(x) stays integrable.
-    """
-
-    def __init__(self, kind, *, locations=None, masses=None,
-                 density=None, lower=None, upper=None, c=None):
+    def __init__(self, kind, *, locations=None, masses=None, c=None):
         if kind == "atomic":
             self.locations = finite(locations, "locations", "(0, inf)", vector=True)
             self.masses = finite(masses, "masses", "(0, inf)", vector=True)
             if self.locations.shape != self.masses.shape:
                 raise PreconditionError("locations and masses must be matching 1-d arrays")
-        elif kind == "density":
-            if density is None:
-                raise PreconditionError("density kind needs a density")
-            self.density, self.lower = density, finite(lower, "lower", "[0, inf)")
-            self.upper = finite(upper, "upper", f"({self.lower!r}, inf)")
         elif kind == "reciprocal":
-            self.c, self.lower, self.upper = finite(c, "c", "(0, inf)"), 0.0, 1.0
+            self.c = finite(c, "c", "(0, inf)")
         else:
             raise PreconditionError(f"unknown measure kind {kind!r}")
         self.kind = kind
@@ -142,21 +106,15 @@ class LevyMeasure:
     def atomic(cls, locations, masses):
         return cls("atomic", locations=locations, masses=masses)
 
-    @classmethod
-    def from_density(cls, density, lower, upper):
-        return cls("density", density=density, lower=lower, upper=upper)
-
     def _integral(self, q, lo, hi):
         """int_[lo, hi) x^q d(measure)."""
         if self.kind == "atomic":
             keep = (self.locations >= lo) & (self.locations < hi)
             return float(np.sum(self.masses[keep] * self.locations[keep]**q))
-        a, b = max(self.lower, lo), min(self.upper, hi)
+        # reciprocal: int_a^b x^q * c/x dx, [a, b) the part of [lo, hi) in (0, 1]
+        a, b = max(0.0, lo), min(1.0, hi)
         if a >= b:
             return 0.0
-        if self.kind == "density":
-            return _quad(lambda x: x**q * self.density(x), a, b)
-        # reciprocal: int_a^b x^q * c/x dx
         if a == 0.0 and q <= 0:
             return np.inf
         if q == 0:
@@ -169,8 +127,7 @@ class LevyMeasure:
 
     def tail(self, x):
         """Mass of [x, inf); inf where it diverges, as at or below 0 for the
-        reciprocal measure.  A density whose tail quadrature fails raises
-        QuadratureError."""
+        reciprocal measure."""
         return self._integral(0, x, np.inf)
 
     def first_moment_tail(self, x):
@@ -186,11 +143,7 @@ class LevyMeasure:
         c = finite(c, "c", "(0, inf)")
         if self.kind == "atomic":
             return LevyMeasure("atomic", locations=self.locations, masses=c * self.masses)
-        if self.kind == "reciprocal":
-            return LevyMeasure("reciprocal", c=c * self.c)
-        f = self.density
-        return LevyMeasure("density", density=lambda x, _f=f, _c=c: _c * _f(x),
-                           lower=self.lower, upper=self.upper)
+        return LevyMeasure("reciprocal", c=c * self.c)
 
     def exponent_value(self, theta):
         """int (e^{i theta x} - 1) d(measure), elementwise over a theta array;
@@ -201,7 +154,7 @@ class LevyMeasure:
             out = np.empty(theta.shape, dtype=complex)
             out.real = 0.0 - self.c * cin  # +0, not -0, at theta = 0
             out.imag = self.c * np.sign(theta) * si
-        elif self.kind == "atomic":
+        else:
             flat = theta.ravel()
             out = np.empty(flat.size, dtype=complex)
             chunk = max(1, _ATOM_CHUNK_ELEMENTS // self.locations.size)
@@ -210,18 +163,7 @@ class LevyMeasure:
                 out[lo : lo + chunk] = np.sum(
                     self.masses * (np.exp(1j * t * self.locations) - 1.0), axis=-1)
             out = out.reshape(theta.shape)
-        else:
-            out = np.array([self._exponent_at(t) for t in theta.ravel()],
-                           dtype=complex).reshape(theta.shape)
         return out if out.ndim else complex(out)
-
-    def _exponent_at(self, theta):
-        if theta == 0.0:
-            return 0.0 + 0.0j
-        f = self.density
-        re = _quad(lambda x: (np.cos(theta * x) - 1.0) * f(x), self.lower, self.upper)
-        im = _quad(lambda x: np.sin(theta * x) * f(x), self.lower, self.upper)
-        return complex(re, im)
 
 
 def reciprocal_measure(b):
@@ -331,9 +273,11 @@ class LevyExponent:
             if measure is None:
                 raise PreconditionError("spectrally_positive needs a LevyMeasure")
             self.measure = measure
-            self.trunc_eps = finite(trunc_eps, "trunc_eps", "(0, inf)")
-            # the no-compensator regime needs a finite first moment; quadrature can
-            # return a divergent one as a finite negative value, hence > 0 too
+            # only the reciprocal kind truncates, and eps must leave part of (0, 1];
+            # an atomic measure keeps every atom and ignores eps
+            self.trunc_eps = finite(trunc_eps, "trunc_eps",
+                                    "(0, 1)" if measure.kind == "reciprocal" else "(0, inf)")
+            # the no-compensator regime needs a finite first moment
             self._m1 = finite(measure.moment(1), "the measure's first moment", "(0, inf)")
             self._invcdf = None
         else:
@@ -383,9 +327,8 @@ class LevyExponent:
 
     def _jump_table(self):
         """(inverse CDF, rate, compensator mean) of the jump law: the atoms
-        by their cumulative masses, untruncated; for the eps-truncated law,
-        exactly eps**(1 - u) for the reciprocal kind, and a table on a
-        geometric grid for a density."""
+        by their cumulative masses, untruncated, or for the reciprocal kind
+        the eps-truncated law, exactly eps**(1 - u)."""
         if self._invcdf is None:
             nu, eps = self.measure, self.trunc_eps
             if nu.kind == "atomic":  # every atom kept: no truncation, no compensator
@@ -394,25 +337,10 @@ class LevyExponent:
                 def invcdf(u):
                     return nu.locations[np.minimum(np.searchsorted(cdf, u, "right"), cdf.size - 1)]
                 self._invcdf = (invcdf, float(nu.masses.sum()), 0.0)
-                return self._invcdf
-            lo = max(nu.lower, eps)
-            if lo >= nu.upper:
-                raise PreconditionError("truncation removes the whole support")
-            if nu.kind == "reciprocal":
+            else:
                 def invcdf(u):
                     return eps ** (1.0 - u)
-            else:
-                from scipy import integrate  # only densities integrate
-
-                # geometric grid resolves the near-zero blowup of 1/x-type densities
-                grid = np.geomspace(lo, nu.upper, _INVCDF_GRID)
-                pdf = np.array([nu.density(x) for x in grid])
-                cdf = integrate.cumulative_trapezoid(pdf, grid, initial=0.0)
-                cdf /= cdf[-1]
-
-                def invcdf(u):
-                    return np.interp(u, cdf, grid)
-            self._invcdf = (invcdf, nu.tail(lo), nu.truncated_first_moment(eps))
+                self._invcdf = (invcdf, nu.tail(eps), nu.truncated_first_moment(eps))
         return self._invcdf
 
     def truncation_info(self):
@@ -427,10 +355,10 @@ class LevyExponent:
         """Draw the increment over an interval of length t.
 
         Returns a scalar for size=None, else an ndarray of that shape.
-        The interface is exact for every kind except reciprocal and density
-        jump measures with infinite activity, where jumps below ``trunc_eps``
-        are dropped and their exact mean ``t * int_0^eps x nu(dx)`` is
-        added back deterministically.  Every jump measure draws one Poisson
+        The interface is exact for every kind except the reciprocal jump
+        measure, whose activity is infinite: jumps below ``trunc_eps`` are
+        dropped and their exact mean ``t * int_0^eps x nu(dx)`` is added
+        back deterministically.  Every jump measure draws one Poisson
         count per increment and then that many jumps from ``_jump_table``.
         """
         if t < 0:

@@ -17,7 +17,7 @@ Res. 41, 1993), so only they and the arrivals on (t_1, t_n] are drawn."""
 
 import numpy as np
 
-from .corr import block_spans
+from .corr import as_grid, block_spans
 from .errors import finite
 
 
@@ -46,7 +46,7 @@ class MGInfinityModel:
         against rounding; G_I is an integrated tail, so true negatives
         cannot occur.
         """
-        t = grid.t
+        t = as_grid(grid).t
         # customers arrived by t_i and still in service at t_j (j >= i)
         present = self.rho * (1.0 - self.service.integrated_tail(t[None, :] - t[:, None]))
         # of those, the ones that arrived after t_{i-1} ...
@@ -78,7 +78,7 @@ class MGInfinityModel:
         the output and the marks the draw holds 8 + 2 bytes per customer and
         the float times of one cohort while they are located on the grid.
         """
-        t = grid.t
+        t = as_grid(grid).t
         n = t.size
         reps = 1 if size is None else int(size)
         span = t[-1] - t[0]

@@ -41,11 +41,6 @@ _SUBSET_CAP = 12
 _SPARSE_MAX_PI = 0.15
 
 
-def _epochs(grid):
-    """Accept a TimeGrid, or a strictly increasing list, tuple or 1-d array."""
-    return (grid if isinstance(grid, corr.TimeGrid) else corr.TimeGrid(grid)).t
-
-
 def _on_probs(lam, mu, gap):
     """(p01, p11): chance of ON after a gap from OFF and from ON.
 
@@ -160,20 +155,20 @@ class OnOffSource:
         """E[xi(t_1)...xi(t_k)] for ordered epochs; xi the ON indicator."""
         if np.size(epochs) == 0:
             return 1.0
-        _, p11 = _on_probs(self.lam, self.mu, np.diff(_epochs(epochs)))
+        _, p11 = _on_probs(self.lam, self.mu, np.diff(corr.as_grid(epochs).t))
         return float(self.pi * np.prod(p11))
 
     def joint_log_cf(self, grid, theta):
         """Exact joint log CF of (zeta(t_1), ..., zeta(t_m)), a one-source
         _chain_log_cf."""
         return _chain_log_cf(np.array([self.lam]), self.mu, np.array([self.r]),
-                             _epochs(grid), theta)
+                             corr.as_grid(grid).t, theta)
 
     def simulate_path(self, grid, rng, size=None):
         """Draw zeta at the grid epochs exactly (stationary start, exact
         gap transitions; no path discretization)."""
         out = _row_paths(np.array([self.lam]), self.mu, np.array([self.r]),
-                         _epochs(grid), rng, 1 if size is None else int(size))
+                         corr.as_grid(grid).t, rng, 1 if size is None else int(size))
         return out[0] if size is None else out
 
 
@@ -255,7 +250,7 @@ def superpose(spec, n, grid, rng, reps=None):
     for reps=None else (reps, len(grid)).
     """
     lam, r = spec.row(n)
-    t = _epochs(grid)
+    t = corr.as_grid(grid).t
     total = 1 if reps is None else int(reps)
     block = row_batch(n)
     out = np.empty((total, t.size))
@@ -316,7 +311,7 @@ def _chain_log_cf(lam, mu, r, t, thetas):
 def row_joint_log_cf(spec, n, grid, thetas):
     """Exact log CF of the row sum: _chain_log_cf over the row's sources."""
     lam, r = spec.row(n)
-    return _chain_log_cf(lam, spec.mu, r, _epochs(grid), thetas)
+    return _chain_log_cf(lam, spec.mu, r, corr.as_grid(grid).t, thetas)
 
 
 def uan_check(spec, n, theta_grid):
@@ -349,7 +344,7 @@ def espc_weights(mu, grid):
     """Product-form weights of the exponential structure, assembled directly:
     (1 - e^{-mu(t_j - t_{j-1})}) e^{-mu(t_k - t_j)} (1 - e^{-mu(t_{k+1} - t_k)})
     with boundary factors 1."""
-    t = _epochs(grid)
+    t = corr.as_grid(grid).t
     gaps = -np.expm1(-mu * np.diff(t))
     left = np.concatenate([[1.0], gaps])
     right = np.concatenate([gaps, [1.0]])
@@ -515,7 +510,7 @@ def increment_bound_check(src, t_triples, n_reps, rng):
     rows = []
     for (u, t, s) in t_triples:
         forms = increment_moment_forms(src, u, t, s)
-        path = src.simulate_path(corr.TimeGrid((u, t, s)), rng, size=n_reps)
+        path = src.simulate_path((u, t, s), rng, size=n_reps)
         d1 = path[:, 1] - path[:, 0]
         d2 = path[:, 2] - path[:, 1]
         mc = {}
@@ -576,7 +571,7 @@ def algebraic_identity_check(m, theta, grid, alpha_rate, r):
     if m > _SUBSET_CAP:
         raise PreconditionError(f"m capped at {_SUBSET_CAP} (2^m subsets)")
     theta = np.asarray(theta, dtype=float)
-    t = _epochs(grid)
+    t = corr.as_grid(grid).t
     if theta.size != m or t.size != m:
         raise PreconditionError("theta and grid must have length m")
     f = np.exp(1j * r * theta) - 1.0
@@ -610,7 +605,7 @@ def remainder_bound_check(sources, grid, theta_vectors=None, enforce_sign=True):
     With enforce_sign, a negative L raises BoundViolationError naming the
     source whose L is lowest.
     """
-    t = _epochs(grid)
+    t = corr.as_grid(grid).t
     m = t.size
     if m < 2:
         raise PreconditionError("need at least two epochs")

@@ -8,6 +8,8 @@ same seed yields bit-identical output no matter how many worker threads run
 the batches.
 """
 
+from collections import deque
+
 import numpy as np
 
 DEFAULT_BATCH = 100_000
@@ -36,9 +38,10 @@ def run_batched(fn, total, seed, stream=0, batch=DEFAULT_BATCH, threads=1):
     with the same trailing shape and dtype in every batch.  A single batch
     is returned as ``fn`` made it.  Several are copied, in batch order, into
     one result preallocated from the first batch, so besides that result
-    the run holds only the batches not yet copied: one at ``threads`` 1.
-    ``threads`` only controls how many batches run concurrently, never the
-    output.
+    the run holds only the batches not yet copied: one at ``threads`` 1, and
+    at most ``threads`` otherwise, since a batch is submitted only when fewer
+    than ``threads`` are submitted and not yet copied.  ``threads`` only
+    controls how many batches run concurrently, never the output.
     """
     # an empty run still makes one call, so the result keeps fn's trailing shape
     sizes = batch_sizes(total, batch) or [0]
@@ -48,8 +51,20 @@ def run_batched(fn, total, seed, stream=0, batch=DEFAULT_BATCH, threads=1):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return _stitch(pool.map(fn, rngs, sizes), sizes)
+            return _stitch(_in_order(pool, fn, rngs, sizes, threads), sizes)
     return _stitch(map(fn, rngs, sizes), sizes)
+
+
+def _in_order(pool, fn, rngs, sizes, ahead):
+    """The batches ``fn`` makes on ``pool``, yielded in batch order, with at
+    most ``ahead`` of them submitted and not yet yielded."""
+    pending = deque()
+    for args in zip(rngs, sizes):
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, *args))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _stitch(parts, sizes):

@@ -571,25 +571,74 @@ def test_write_csv_memory_does_not_grow_with_width(tmp_path):
     assert peak < 4 * 2**20
 
 
-def test_import_leaves_scipy_unloaded():
-    """Importing the package or its CLI does not load scipy; the first
-    quadrature does, with the same result."""
-    code = ("import sys\n"
-            "import idcoverage\n"
-            "assert 'scipy' not in sys.modules, 'idcoverage'\n"
-            "import idcoverage.cli\n"
-            "assert 'scipy' not in sys.modules, 'idcoverage.cli'\n"
-            "from idcoverage import levy\n"
-            "nu = levy.LevyMeasure.from_density(lambda x: 1.0 / x, 0.0, 1.0)\n"
-            "law = levy.spectrally_positive(nu)\n"
-            "assert 'scipy' in sys.modules, 'first quadrature'\n"
-            "print(repr(complex(law.eval(1.0))))\n")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=_src_env())
+_GRID4 = [0.0, 0.5, 1.0, 2.0]
+_FIDI_GRID = [round(0.1 * k, 10) for k in range(50)]
+# small-rep copies of the benchmark's four workload configs; the ON/OFF one
+# also carries the row size simulate-onoff needs
+_NO_SCIPY_CONFIGS = {
+    "light_config.json": {
+        "arrival_rate": 2.0, "service": {"kind": "exponential", "rate": 1.0},
+        "grid": _GRID4, "reps": 300, "seed": 3},
+    "heavy_config.json": {
+        "arrival_rate": 1.0, "service": {"kind": "pareto_truncated", "shape": 4.0, "scale": 1.0},
+        "grid": _GRID4, "theta_grid": [-1.0, 1.0], "reps": 300, "seed": 3},
+    "fidi_config.json": {
+        "law": {"kind": "gamma"}, "structure": {"kind": "power", "alpha": 0.5},
+        "grid": _FIDI_GRID, "thetas": [[0.5] * 50, [-1.0] * 25 + [1.0] * 25],
+        "reps": 50, "seed": 3},
+    "onoff_config.json": {
+        "array": {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
+        "measure": {"kind": "reciprocal", "b": 0.5}, "grid": [0.0, 1.0],
+        "n_list": [100, 1000, 10000], "n": 1000, "reps": 200, "seed": 3},
+}
+_NO_SCIPY_RUNS = [
+    ["cf-eval", "--config", "fidi_config.json", "--out", "cf.json"],
+    ["sample", "--config", "fidi_config.json", "--out", "fidi.csv"],
+    ["simulate-coverage", "--config", "light_config.json", "--out", "light.csv"],
+    ["simulate-coverage", "--config", "heavy_config.json", "--out", "heavy.csv"],
+    ["simulate-onoff", "--config", "onoff_config.json", "--out", "onoff.csv"],
+    ["check-array", "--config", "onoff_config.json", "--out", "check.json"],
+    ["convergence", "--config", "onoff_config.json", "--out", "conv.json"],
+    ["verify"],
+]
+_NO_SCIPY_SCRIPT = """\
+import json, sys
+
+
+class NoScipy:
+    \"\"\"Refuses, and records, every import of scipy or a submodule.\"\"\"
+    tried = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            self.tried.append(name)
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from idcoverage.cli import main
+
+codes = [main(args) for args in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "tried": NoScipy.tried}))
+"""
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    """With every scipy import refused, the package imports, every command
+    runs on the workload configs and writes its artifacts, and verify
+    passes; no module even tries to import scipy."""
+    for name, conf in _NO_SCIPY_CONFIGS.items():
+        write_config(tmp_path, name, conf)
+    res = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(_NO_SCIPY_RUNS)],
+                         capture_output=True, text=True, env=_src_env(), cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    law = levy.spectrally_positive(
-        levy.LevyMeasure.from_density(lambda x: 1.0 / x, 0.0, 1.0))
-    assert complex(res.stdout) == complex(law.eval(1.0))
+    summary = json.loads(res.stdout.splitlines()[-1])
+    assert summary == {"codes": [0] * len(_NO_SCIPY_RUNS), "tried": []}, res.stderr
+    written = {run[-1] for run in _NO_SCIPY_RUNS if "--out" in run}
+    written |= {"light.json", "heavy.json", "conv.csv"}
+    assert written <= set(os.listdir(tmp_path))
+    assert "all 12 checks passed" in res.stdout
 
 
 def test_import_leaves_thread_pool_unloaded():
@@ -981,6 +1030,13 @@ NAN, INF = float("nan"), float("inf")
     ("check-array", dict(ASSUMPTION_CONF, eps_list=[-0.1]), "eps_list"),
     ("convergence", dict(ASSUMPTION_CONF, eps_list=[0.1, -0.1]), "eps_list"),
     ("convergence", dict(ASSUMPTION_CONF, rtol_tail=INF), "rtol_tail"),
+    # truncating c/x on (0, 1] at eps >= 1 would drop every jump
+    ("cf-eval", dict(SAMPLE_CONF, law={"kind": "spectrally_positive", "trunc_eps": 2.0,
+                                       "measure": {"kind": "reciprocal", "b": 0.5}}),
+     "law: trunc_eps"),
+    ("sample", dict(SAMPLE_CONF, law={"kind": "spectrally_positive", "trunc_eps": 2.0,
+                                      "measure": {"kind": "reciprocal", "b": 0.5}}),
+     "law: trunc_eps"),
 ])
 def test_non_finite_or_out_of_range_number_exits_2_and_writes_nothing(
         tmp_path, monkeypatch, capsys, command, conf, named):

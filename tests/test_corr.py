@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from idcoverage import corr
+from idcoverage import corr, fidi, levy, mginf, onoff
 from idcoverage.errors import ConcavityError, PreconditionError
 from idcoverage.rng import child_rng
 
@@ -279,3 +279,37 @@ def test_every_parameter_is_a_finite_number(param, value):
 
 def test_power_alpha_one_stays_accepted():
     assert corr.power_structure(1).eval(0.5) == 0.5
+
+
+# -- one grid coercion -------------------------------------------------------
+
+_EPOCHS = [0.0, 0.4, 1.5]
+_THETAS = np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -0.5]])
+_POWER = corr.power_structure(0.5)
+_GAMMA = fidi.CoverageProcess(levy.gamma_law(), _POWER)
+_MODEL = mginf.MGInfinityModel(2.0, corr.ServiceDistribution.exponential(1.0))
+
+
+def _triplet(grid):
+    t = fidi.CoverageProcess(levy.gaussian(0.3, 1.2), _POWER).triplet(grid)
+    return t.beta, t.sigma, [(u.tolist(), w) for u, w in t.rays]
+
+
+# every entry point that takes a grid; samplers run at equal seeds
+GRID_ENTRY_POINTS = {
+    "CoverageProcess.log_cf": lambda g: _GAMMA.log_cf(g, _THETAS),
+    "CoverageProcess.sample": lambda g: _GAMMA.sample(g, child_rng(3), size=20),
+    "CoverageProcess.triplet": _triplet,
+    "CoverageProcess.consistency_check": lambda g: _GAMMA.consistency_check(g, _THETAS[0], 1),
+    "weights": lambda g: corr.weights(_POWER, g).a,
+    "espc_log_cf": lambda g: onoff.espc_log_cf(levy.reciprocal_measure(0.5), 1.0, g, _THETAS),
+    "MGInfinityModel.mu_rect": lambda g: _MODEL.mu_rect(g),
+    "MGInfinityModel.log_cf": lambda g: _MODEL.log_cf(g, _THETAS),
+    "MGInfinityModel.simulate": lambda g: _MODEL.simulate(g, child_rng(3), size=20),
+}
+
+
+@pytest.mark.parametrize("entry", list(GRID_ENTRY_POINTS))
+def test_a_list_of_epochs_is_a_grid(entry):
+    fn = GRID_ENTRY_POINTS[entry]
+    np.testing.assert_equal(fn(_EPOCHS), fn(corr.TimeGrid(tuple(_EPOCHS))))

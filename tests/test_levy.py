@@ -10,8 +10,22 @@ import pytest
 from scipy import integrate
 
 from idcoverage import levy, onoff
-from idcoverage.errors import PreconditionError, QuadratureError, UnsupportedMomentError
+from idcoverage.errors import PreconditionError, UnsupportedMomentError
 from idcoverage.rng import child_rng
+
+_QUAD_RTOL = 1e-10
+_QUAD_ATOL = 1e-14
+
+
+def _strict_quad(f, a, b):
+    """Adaptive quadrature that fails the test when quadpack flags trouble,
+    unless the residual is dominated by the value."""
+    val, err, *flags = integrate.quad(f, a, b, epsabs=_QUAD_ATOL, epsrel=_QUAD_RTOL,
+                                      limit=400, full_output=1)
+    if len(flags) > 1:
+        assert err <= max(_QUAD_ATOL, abs(val) * 1e-8), f"quadrature residual {err:.2e}"
+    return val
+
 
 # log CF of the unit-mean gamma law at theta=1: -log(1-i) with the
 # principal branch, i.e. -(log sqrt(2) - i pi/4)
@@ -173,11 +187,9 @@ class TestReciprocalMeasure:
         assert self.nu.tail(1.5) == 0.0
 
     def test_tail_at_or_below_lower_end(self):
-        # c/x has infinite mass at 0; a density with finite mass keeps its total
+        # c/x has infinite mass at 0
         assert self.nu.tail(0.0) == np.inf
         assert self.nu.tail(-1.0) == np.inf
-        finite = levy.LevyMeasure.from_density(lambda x: 2.0 * x, 0.0, 1.0)
-        assert finite.tail(0.0) == pytest.approx(1.0, rel=1e-10)
 
     def test_first_moment_tail(self):
         for x in (0.25, 0.5, 0.75):
@@ -207,9 +219,10 @@ class TestReciprocalMeasure:
 
     @pytest.mark.parametrize("theta", [0.3, 5.0, 50.0, -7.5, 1e3])
     def test_exponent_against_density_oracle(self, theta):
-        # the same measure as a generic density, integrated by quadrature
-        oracle = levy.LevyMeasure.from_density(lambda x: self.c / x, 0.0, 1.0)
-        assert abs(self.nu.exponent_value(theta) - oracle.exponent_value(theta)) <= 1e-12
+        # the same measure as the density c/x on (0, 1], integrated by quadrature
+        re = _strict_quad(lambda x: (np.cos(theta * x) - 1.0) * (self.c / x), 0.0, 1.0)
+        im = _strict_quad(lambda x: np.sin(theta * x) * (self.c / x), 0.0, 1.0)
+        assert abs(self.nu.exponent_value(theta) - complex(re, im)) <= 1e-12
 
     def test_exponent_is_conjugate_symmetric_and_vectorized(self):
         theta = np.array([0.3, 5.0, 50.0, 7.5, 1e3, 0.0])
@@ -276,15 +289,6 @@ def test_cin_si_at_zero_and_small_x():
     assert si[1] == pytest.approx(1e-8, rel=1e-15)
 
 
-def test_density_tail_quadrature_failure_raises():
-    # finite mass 1/log 2 that quadpack cannot reach at the lower end: a
-    # failed tail is an error, not a guess of infinite activity
-    nu = levy.LevyMeasure.from_density(lambda x: 1.0 / (x * np.log(2.0 / x)**2), 0.0, 1.0)
-    with pytest.raises(QuadratureError):
-        nu.tail(0.0)
-    assert nu.tail(0.5) == pytest.approx(1.0 / np.log(2.0) - 1.0 / np.log(4.0), rel=1e-10)
-
-
 def test_atomic_measure_bookkeeping():
     nu = levy.LevyMeasure.atomic([0.5, 1.0, 2.0], [0.4, 0.9, 0.2])
     assert nu.moment(1) == pytest.approx(0.2 + 0.9 + 0.4)
@@ -326,15 +330,21 @@ def test_measure_validation():
     with pytest.raises(PreconditionError):
         levy.LevyMeasure.atomic([1.0], [-1.0])
     with pytest.raises(PreconditionError):
-        levy.LevyMeasure.from_density(lambda x: 1.0, 0.0, np.inf)
-    with pytest.raises(PreconditionError):
         levy.reciprocal_measure(1.0)
 
 
+class _InfiniteFirstMoment(levy.LevyMeasure):
+    """A measure whose int x nu(dx) diverges, as for x^{-2.5} near zero;
+    neither closed-form kind can be one."""
+
+    def moment(self, q):
+        return np.inf if q == 1 else super().moment(q)
+
+
 def test_infinite_first_moment_rejected():
-    # x^{-2.5} near zero: int x * nu(dx) diverges, so no law can be built
-    nu = levy.LevyMeasure.from_density(lambda x: x**-2.5, 0.0, 1.0)
-    with pytest.raises((PreconditionError, QuadratureError)):
+    # the no-compensator regime needs int x * nu(dx) finite, so no law can be built
+    nu = _InfiniteFirstMoment("reciprocal", c=1.0)
+    with pytest.raises(PreconditionError, match="first moment"):
         levy.spectrally_positive(nu)
 
 
@@ -442,6 +452,16 @@ def test_law_validation():
         levy.spectrally_positive(levy.reciprocal_measure(0.5), trunc_eps=0.0)
 
 
+@pytest.mark.parametrize("eps", [1.0, 2.0])
+def test_trunc_eps_must_leave_part_of_the_reciprocal_support(eps):
+    # at or above 1 the truncation would drop every jump of c/x on (0, 1]
+    with pytest.raises(PreconditionError, match="^trunc_eps"):
+        levy.spectrally_positive(levy.reciprocal_measure(0.5), eps)
+    # an atomic measure keeps every atom, whatever eps is
+    atoms = levy.spectrally_positive(levy.LevyMeasure.atomic([0.5], [1.0]), eps)
+    assert atoms.truncation_info()["eps"] == 0.0
+
+
 # -- one parameter rule ------------------------------------------------------
 
 BAD_NUMBERS = [np.nan, np.inf, -np.inf, True, "1", None]
@@ -465,7 +485,6 @@ LEVY_PARAMETERS = {
     "reciprocal_measure.b": levy.reciprocal_measure,
     "reciprocal.c": lambda v: levy.LevyMeasure("reciprocal", c=v),
     "scale.c": lambda v: levy.reciprocal_measure(0.5).scale(v),
-    "from_density.upper": lambda v: levy.LevyMeasure.from_density(lambda x: 1.0, 0.0, v),
 }
 
 

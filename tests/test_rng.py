@@ -1,5 +1,9 @@
 """Batched, seed-split ensembles."""
 
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 
@@ -32,6 +36,35 @@ def test_run_batched_stitches_batches_in_order(threads):
                            for b, c in enumerate(rngmod.batch_sizes(250, 100))])
     assert out.dtype == want.dtype
     np.testing.assert_array_equal(out, want)
+
+
+def test_run_batched_holds_at_most_threads_plus_one_batches():
+    """A slow first batch does not let the other batches pile up: one is
+    submitted only while fewer than ``threads`` wait to be copied."""
+    threads, lock = 2, threading.Lock()
+    calls, live, peak = [0], [0], [0]
+
+    def released():
+        with lock:
+            live[0] -= 1
+
+    def fn(rng, count):
+        with lock:
+            calls[0] += 1
+            first = calls[0] == 1
+        if first:
+            time.sleep(0.2)
+        out = _rows(rng, count)
+        with lock:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+        weakref.finalize(out, released)
+        return out
+
+    out = rngmod.run_batched(fn, 1200, 7, batch=100, threads=threads)
+    assert calls[0] == 12 and live[0] == 0
+    assert peak[0] <= threads + 1, f"{peak[0]} batches alive at once"
+    np.testing.assert_array_equal(out, rngmod.run_batched(_rows, 1200, 7, batch=100))
 
 
 @pytest.mark.parametrize("odd", [
