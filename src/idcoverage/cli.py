@@ -20,9 +20,12 @@ from .errors import BoundViolationError, PreconditionError, finite
 
 _DEFAULT_THETA = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
 _DEFAULT_THETA_MAX_EPOCHS = 6   # 6^6 = 46,656 default theta vectors
-# values per format call: 2**15 Python numbers and their text take about
-# 2 MB, whatever the row width
+# values per % call of the integer writer: 2**15 Python numbers and their
+# text take about 2 MB, whatever the row width
 _CSV_BLOCK_ELEMENTS = 2**15
+# values per block of the float kernel: its temporaries take about 250 bytes
+# a value, so about 2 MB, whatever the row width
+_CSV_FLOAT_BLOCK = 2**13
 _ASSUMPTION_DEFAULTS = {"n_list": [100, 1000, 10000], "x_probe": [0.25, 0.5, 0.75],
                         "eps_list": [0.1, 0.05], "rtol_tail": 0.02}
 # every top-level config field some command reads; any other is refused
@@ -96,13 +99,14 @@ def _guard_out(path, force):
     return path
 
 
-def _replace_into(path, write):
-    """Run ``write(fh)`` on a temp file beside ``path``, then move it into
-    place, so a failed write never leaves a partial artifact at ``path``."""
+def _replace_into(path, write, mode="w"):
+    """Run ``write(fh)`` on a temp file beside ``path``, opened in ``mode``,
+    then move it into place, so a failed write never leaves a partial
+    artifact at ``path``."""
     tmp = f"{path}.{os.getpid()}.tmp"
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -129,29 +133,186 @@ def _emit_json(args, obj):
         _dump(obj, sys.stdout)
 
 
+def _split(a):
+    """Dekker's split: hi + lo == a, each with at most 26 significant bits."""
+    t = 134217729.0 * a   # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _python_text(values):
+    """'%.17g' of each of ``values``, one Python call each: _float_csv's
+    fallback."""
+    return ["%.17g" % v for v in values]
+
+
+def _float_csv(arr):
+    """The CSV text of float array ``arr``, as one uint8 array of bytes per
+    _CSV_FLOAT_BLOCK values: each value in '%.17g', then ',' or a newline
+    at the end of a row.
+
+    For 1e-4 <= |x| < 1e17, '%.17g' is fixed notation: with k the decimal
+    exponent of |x|, the 17 digits are m = round(|x| * 10**(16 - k)), and
+    trailing zeros and a bare point are dropped.  10**(16 - k) is an exact
+    double for k in [-4, 16], so Dekker's two-product gives |x| * 10**(16 - k)
+    exactly as p + e, and m is p plus e rounded (p is an integer above
+    2**53).  The digits come from a table of 4-digit groups and are laid
+    out by k with uint64 shifts.  Python's own '%.17g' formats the rest:
+    zero, NaN, infinities, |x| outside that range, exact ties (e one half
+    off an integer), a carry of m to 10**17, and any value whose k is still
+    off after one correction.  So the text is '%.17g''s, byte for byte.
+    """
+    u64 = np.uint64
+    group = np.arange(10_000)
+    ascii4 = (48 + np.stack([group // 1000, group // 100 % 10, group // 10 % 10,
+                             group % 10], axis=1)).astype(np.uint8)
+    ascii4 = ascii4.view("<u4").ravel().astype(u64)   # first digit lowest
+    ascii4_hi = ascii4 << u64(32)
+    zeros4 = sum((group % d == 0) for d in (10, 100, 1000)).astype(np.int8)
+    zeros4[0] = 4                                       # trailing zeros
+    scale = np.array([float(10**j) for j in range(21)])
+    scale_hi, scale_lo = _split(scale)
+    # A value is a 32-byte record, four little-endian words: the sign at
+    # byte 0, its digits and point from byte 1, the separator at byte 31.
+    # The digit words w0..w2 hold "000" d0 at bytes 4..7 and d1..d16 at
+    # bytes 8..23.  Per k (row k + 4): the fixed bytes, the mask of the
+    # digits before the point (w >> 6 bytes) and of the digits after it
+    # (w >> tail bytes), and the tail shift in bits.
+    layout = np.zeros((21, 3, 24), np.uint8)
+    tail = np.zeros(21, u64)
+    for k in range(-4, 17):
+        fixed, head, rest = layout[k + 4]
+        fixed[0] = ord("-")
+        if k < 0:   # "-0." and -k - 1 zeros before d0
+            fixed[1:3] = (ord("0"), ord("."))
+            rest[3:23] = 255
+        else:       # d0..dk, the point, d(k+1)..d16
+            fixed[k + 2] = ord(".")
+            head[1:k + 2] = 255
+            rest[k + 3:23] = 255
+        tail[k + 4] = 8 * (5 + min(k, 0))
+    layout = layout.view("<u8").reshape(21, 9)
+    # bytes kept of a record, by 32 * (starts at the sign) + end of its text
+    keep = np.zeros((2, 32, 32), bool)
+    for neg in (0, 1):
+        for end in range(32):
+            keep[neg, end, 1 - neg:end] = True
+    keep[:, :, 31] = True
+    keep = keep.reshape(64, 32).view("V32").ravel()
+
+    def scaled(v, j):
+        p = v * scale[j]
+        vh, vl = _split(v)
+        sh, sl = scale_hi[j], scale_lo[j]
+        e = vh * sh - p
+        e += vh * sl
+        e += vl * sh
+        e += vl * sl
+        return p, e   # p + e == v * 10**j exactly
+
+    def in_range(p, e):   # 1e16 <= p + e < 1e17, exactly
+        return ((p - 1e16) + e >= 0) & ((p - 1e17) + e < 0)
+
+    def digits(x):
+        """(m, k, python): the 17 digits m and the exponent k of each |x|,
+        and where Python must format x instead (m and k are then
+        meaningless)."""
+        v = np.abs(x)
+        python = (v < 1e-4) | ~(v < 1e17)
+        v[python] = 1.0
+        k = np.floor(np.log10(v))
+        j = (16 - np.clip(k, -4, 16, out=k)).astype(np.intp)
+        p, e = scaled(v, j)
+        off = np.flatnonzero(~in_range(p, e))   # log10 one off near 10**k
+        if off.size:
+            j[off] += np.where((p[off] - 1e16) + e[off] < 0, 1, -1)
+            p[off], e[off] = scaled(v[off], j[off])
+            python[off[~in_range(p[off], e[off])]] = True
+        r = np.rint(e)
+        python |= np.abs(e - r) == 0.5
+        m = p.astype(np.int64) + r.astype(np.int64)
+        python |= m == 10**17   # a carry; no double in range rounds up to it
+        return m, 16 - j, python
+
+    def divmod_(a, d):   # np.divmod takes twice as long
+        q = a // d
+        return q, a - q * d
+
+    def words(m):
+        """(w0, w1, w2, last): the digit words of m, and its last nonzero
+        digit."""
+        hi, lo = divmod_(m, 10**8)   # m's digits: lead g1 g2 g3 g4
+        hi, g2 = divmod_(hi, 10**4)
+        lead, g1 = divmod_(hi, 10**4)
+        g3, g4 = divmod_(lo, 10**4)
+        zeros = zeros4[g1]
+        for g in (g2, g3, g4):
+            zeros[g != 0] = 0
+            zeros += zeros4[g]
+        return (ascii4_hi[lead], ascii4[g1] | ascii4_hi[g2], ascii4[g3] | ascii4_hi[g4],
+                16 - zeros)
+
+    def records(m, k):
+        """(out, end): the records of the unsigned texts, without
+        separators, and the end of each text."""
+        w0, w1, w2, last = words(m)
+        end = np.where(last > k, last + 3 - np.minimum(k, 0), k + 2)
+        lay = np.take(layout, k + 4, axis=0)
+        s = tail[k + 4]
+        out = np.empty((m.size, 4), "<u8")
+        out[:, 0] = lay[:, 0] | ((w0 >> u64(48)) | (w1 << u64(16))) & lay[:, 3] \
+            | ((w0 >> s) | (w1 << (u64(64) - s))) & lay[:, 6]
+        out[:, 1] = lay[:, 1] | ((w1 >> u64(48)) | (w2 << u64(16))) & lay[:, 4] \
+            | ((w1 >> s) | (w2 << (u64(64) - s))) & lay[:, 7]
+        out[:, 2] = lay[:, 2] | (w2 >> u64(48)) & lay[:, 5] | (w2 >> s) & lay[:, 8]
+        return out, end
+
+    ncols = arr.shape[1]
+    flat = arr.reshape(-1)
+    for first in range(0, flat.size, _CSV_FLOAT_BLOCK):
+        x = np.asarray(flat[first:first + _CSV_FLOAT_BLOCK], dtype=np.float64)
+        m, k, python = digits(x)
+        out, end = records(m, k)
+        out[:, 3] = u64(ord(",") << 56)
+        out[ncols - 1 - first % ncols::ncols, 3] = u64(ord("\n") << 56)
+        end += 32 * (x < 0)
+        rows = np.flatnonzero(python)
+        if rows.size:
+            text = _python_text(x[rows].tolist())
+            out[rows, :3] = np.array(text, dtype="S24").view("<u8").reshape(-1, 3)
+            end[rows] = [32 + len(t) for t in text]
+        yield out.view(np.uint8).reshape(-1)[keep.take(end).view(bool)]
+
+
 def _write_csv(path, arr, force, header=None):
     """Write ``arr`` as CSV under ``header``, by default x1..xn: integers
-    as %d, floats as %.17g.  The bytes are those np.savetxt writes, which
-    applies the same ``%`` format one row at a time; here one ``%`` call
-    formats a block of whole rows holding at most _CSV_BLOCK_ELEMENTS values
-    (one row, when a row is wider), so besides ``arr`` the write holds one
-    block's Python numbers and text, whatever the width."""
+    as %d, floats as %.17g, in the bytes np.savetxt writes (it applies the
+    same ``%`` format one row at a time).  Integers take one ``%`` call per
+    block of whole rows holding at most _CSV_BLOCK_ELEMENTS values (one row,
+    when a row is wider); floats take _float_csv, _CSV_FLOAT_BLOCK values at
+    a time.  So besides ``arr`` the write holds one block's temporaries,
+    whatever the width."""
     _guard_out(path, force)
     arr = np.atleast_2d(arr)
     if header is None:
         header = ",".join(f"x{k + 1}" for k in range(arr.shape[1]))
-    fmt = "%d" if np.issubdtype(arr.dtype, np.integer) else "%.17g"
-    line = ",".join([fmt] * arr.shape[1]) + "\n"
-    rows = max(1, _CSV_BLOCK_ELEMENTS // max(arr.shape[1], 1))
+    integer = np.issubdtype(arr.dtype, np.integer)
 
     def write(fh):
         if header:
-            fh.write(header + "\n")
+            fh.write(header.encode() + b"\n")
+        if not integer and arr.shape[1]:
+            for text in _float_csv(arr):
+                fh.write(text)
+            return
+        # integers, and rows of no values
+        line = ",".join(["%d"] * arr.shape[1]) + "\n"
+        rows = max(1, _CSV_BLOCK_ELEMENTS // max(arr.shape[1], 1))
         for start in range(0, arr.shape[0], rows):
             block = arr[start:start + rows]
-            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+            fh.write(((line * block.shape[0]) % tuple(block.ravel().tolist())).encode())
 
-    _replace_into(path, write)
+    _replace_into(path, write, "wb")
 
 
 def _thetas(conf, n):

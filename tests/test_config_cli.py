@@ -530,9 +530,46 @@ def _savetxt_reference(path, arr, header=None):
                fmt="%d" if np.issubdtype(arr.dtype, np.integer) else "%.17g")
 
 
+def _with_negatives(arr):
+    return np.concatenate([arr, -arr])
+
+
+def _exact_ties(rng, count=40):
+    """Odd multiples of 2**(k - 17) in [10**k, 10**(k + 1)): times 10**(16 - k)
+    they end in exactly one half, so their 17th digit is a tie.  k stops at
+    14; above it they need more than 53 bits."""
+    ties = [1 + 2.0**-17]
+    for k in range(-4, 15):
+        step = 2.0**(k - 17)
+        odd = 2 * np.floor(rng.uniform(10.0**k, 10.0**(k + 1), count) / (2 * step)) + 1
+        ties.extend(odd * step)
+    return np.array(ties)[:, None]
+
+
+_POW10 = np.array([float(f"1e{k}") for k in range(-320, 309)])
 _CSV_CASES = {
     "int64 extremes": (np.array([[0, -1, 2**62], [-2**62, 7, -123456789]], dtype=np.int64),
                        None),
+    # the edges of the float kernel's range, exact ties, and values it leaves to Python
+    "powers of ten and neighbours": (_with_negatives(np.stack(
+        [_POW10, np.nextafter(_POW10, 0), np.nextafter(_POW10, np.inf)], axis=1)), None),
+    "fixed-notation edges": (_with_negatives(np.array([
+        [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1)],
+        [1e17, np.nextafter(1e17, 0), np.nextafter(1e17, np.inf)]])), None),
+    "1e17 - 8j": (_with_negatives(99999999999999999.0 - 8 * np.arange(64.0))[:, None], None),
+    "exact ties": (_with_negatives(_exact_ties(np.random.default_rng(7))), None),
+    "whole numbers": (_with_negatives(np.concatenate([
+        np.arange(1.0, 2001.0),
+        np.random.default_rng(8).integers(1, 2**53, size=2000).astype(float),
+        np.random.default_rng(9).integers(2**53, 10**17, size=2000).astype(float)]))
+        .reshape(-1, 4), None),
+    "subnormals": (_with_negatives(np.random.default_rng(10).integers(
+        1, 2**52, size=(1000, 3), dtype=np.uint64).view(np.float64)), None),
+    "random bit patterns": (np.random.default_rng(11).integers(
+        0, 2**64, size=(100_000, 2), dtype=np.uint64).view(np.float64), None),
+    "normals scaled by 10**U{-30..30}": (
+        np.random.default_rng(12).normal(size=(100_000, 2))
+        * 10.0 ** np.random.default_rng(13).integers(-30, 31, size=(100_000, 2)), None),
     "float specials": (np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1e308]]), None),
     "no rows": (np.empty((0, 3)), None),
     "one column": (np.linspace(-1.0, 1.0, 7)[:, None] / 3.0, None),
@@ -558,9 +595,27 @@ def test_write_csv_matches_savetxt(tmp_path, case):
     assert out.read_bytes() == ref.read_bytes()
 
 
+def test_float_csv_calls_python_only_outside_fixed_notation(tmp_path, monkeypatch):
+    """The kernel writes every value whose '%.17g' is fixed notation, except
+    exact ties; Python writes the others, one call each."""
+    arr = np.random.default_rng(14).uniform(-1e3, 1e3, size=(2000, 5))
+    specials = [0.0, -0.0, np.nan, -np.inf, 5e-5, -1e17, 1 + 2.0**-17]
+    arr[::300, 2] = specials
+    formatted = []
+    python_text = cli._python_text
+    monkeypatch.setattr(cli, "_python_text",
+                        lambda values: formatted.extend(values) or python_text(values))
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    cli._write_csv(str(out), arr, force=False)
+    _savetxt_reference(str(ref), arr)
+    assert out.read_bytes() == ref.read_bytes()
+    assert sorted(map(repr, formatted)) == sorted(map(repr, specials))
+
+
 def test_write_csv_memory_does_not_grow_with_width(tmp_path):
-    """15,000 x 50 floats: each format call holds one block of Python floats
-    and their text, about 2 MB, not 4096 rows of them (12 MB here)."""
+    """15,000 x 50 floats: the float kernel holds the temporaries of one
+    block of _CSV_FLOAT_BLOCK values, about 2 MB, not the text of the
+    whole array (14 MB here) or of a block of whole rows."""
     arr = np.random.default_rng(6).normal(size=(15_000, 50))
     tracemalloc.start()
     try:
