@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config as cfg
 from . import corr, fidi, mginf, onoff, rng as rngmod, stats, verify
-from .errors import BoundViolationError, PreconditionError, finite
+from .errors import BoundViolationError, PreconditionError, count, finite
 
 _DEFAULT_THETA = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
 _DEFAULT_THETA_MAX_EPOCHS = 6   # 6^6 = 46,656 default theta vectors
@@ -55,17 +55,6 @@ def _load_config(args):
     return conf
 
 
-def _count(value, field, least=0):
-    """``value`` of config field ``field`` as an int of at least ``least``;
-    any other JSON value (a string, a bool, 2.5) is a ConfigError naming
-    the field."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise cfg.ConfigError(f"{field}: expected an integer >= {least}, got {value!r}")
-    return value
-
-
 @contextlib.contextmanager
 def _top_level_fields():
     """Report a failed check of a top-level config field as a ConfigError;
@@ -80,8 +69,9 @@ def _reps_seed(args, conf):
     """(reps, seed): each flag, else its config field; seed defaults to 0."""
     if args.reps is None and conf.get("reps") is None:
         raise CliError("reps must be given as a flag or config field")
-    reps = _count(conf.get("reps"), "reps") if args.reps is None else args.reps
-    seed = _count(conf.get("seed", 0), "seed") if args.seed is None else args.seed
+    with _top_level_fields():
+        reps = count(conf.get("reps"), "reps") if args.reps is None else args.reps
+        seed = count(conf.get("seed", 0), "seed") if args.seed is None else args.seed
     return reps, seed
 
 
@@ -336,8 +326,8 @@ def _assumptions(conf):
     for field in ("n_list", "x_probe", "eps_list"):
         if not isinstance(settings[field], list) or not settings[field]:
             raise cfg.ConfigError(f"{field}: expected a nonempty list, got {settings[field]!r}")
-    settings["n_list"] = [_count(n, "n_list", least=1) for n in settings["n_list"]]
     with _top_level_fields():
+        settings["n_list"] = [count(n, "n_list", least=1) for n in settings["n_list"]]
         for field in ("x_probe", "eps_list"):
             settings[field] = finite(settings[field], field, "(0, inf)", vector=True).tolist()
         settings["rtol_tail"] = finite(settings["rtol_tail"], "rtol_tail", "[0, inf)")
@@ -406,7 +396,8 @@ def cmd_simulate_onoff(args):
     grid = cfg.grid_from_config(conf.get("grid"), "grid")
     if "n" not in conf:
         raise CliError("n (row size) must be set in the config")
-    n = _count(conf["n"], "n", least=1)
+    with _top_level_fields():
+        n = count(conf["n"], "n", least=1)
     _guard_out(args.out, args.force)  # refuse before sampling, not after
     samples = _draw(args, conf, lambda rng, count: onoff.superpose(
         spec, n, grid, rng, reps=count), batch=onoff.row_batch(n))

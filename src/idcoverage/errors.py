@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the two parameter
-checks every constructor runs: ``finite`` and ``probability_vector``."""
+"""Exception types shared across the package, and the parameter checks
+every constructor and sampler runs: ``finite``, ``count`` and
+``probability_vector``."""
 
 import numbers
 
@@ -46,6 +47,18 @@ def finite(value, name, interval="(-inf, inf)", *, vector=False):
         first = x[~ok][0] if vector else x
         raise PreconditionError(f"{name} must be {words}, got {float(first)!r}")
     return x
+
+
+def count(value, name, least=0):
+    """``value`` of parameter ``name`` as an int of at least ``least``.  A
+    Python or numpy integer, or a float that is a whole number, passes; a
+    bool, 2.5, a string or any other value raises PreconditionError naming
+    the parameter."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise PreconditionError(f"{name}: expected an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def probability_vector(values, weights, name, *, positive=False):

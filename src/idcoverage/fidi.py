@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import corr
-from .errors import PreconditionError
+from .errors import PreconditionError, count, finite
 
 __all__ = ["CoverageProcess", "FidiTriplet", "log_cf"]
 
@@ -107,7 +107,7 @@ class CoverageProcess:
         """
         w = corr.weights(self.structure, grid)
         n = w.n
-        m = 1 if size is None else int(size)
+        m = 1 if size is None else count(size, "size")
         diff = np.zeros((n + 1, m))
         for i in range(n):
             for j in range(i, n):
@@ -125,9 +125,7 @@ class CoverageProcess:
 
     def increment_cf(self, h, theta):
         """CF of X_{t+h} - X_t: exp(H(h) * (psi(theta) + psi(-theta)))."""
-        if h < 0:
-            raise PreconditionError("h must be nonnegative")
-        H = self.structure.eval(h)
+        H = self.structure.eval(finite(h, "h", "[0, inf)"))
         return np.exp(H * (self.law.eval(theta) + self.law.eval(-np.asarray(theta, dtype=float))))
 
     def fourth_moment_increment_product(self, t1, t2, t3):

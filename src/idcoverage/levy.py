@@ -10,23 +10,26 @@ Supported families:
   psi(t) = rate*(e^{it} - 1)
 * ``gamma_law()``                 psi(t) = -log(1 - it), shape/scale 1
 * ``spectrally_positive(measure)`` psi(t) = int (e^{itx} - 1) measure(dx)
-  over (0, inf), requiring a finite first moment so no compensator is needed.
+  over (0, inf), requiring a finite first moment so psi needs no centring term.
 
 Jump measures are atomic or ``reciprocal_measure``: c/x on (0, 1] with
 c = 1/log(1/b), the limit measure of the ON/OFF arrays.  Both kinds are
 closed-form throughout, so no quadrature runs.  For the reciprocal kind:
 
 * tail(x) = c*log(1/x) on (0, 1], inf at x <= 0
-* int x^q = c/q, int_[x, 1] y = c*(1 - x), int_(0, eps) y = c*eps
+* int x^q = c/q, int_[x, 1] y = c*(1 - x)
 * psi(t) = c*(-Cin(|t|) + i*sign(t)*Si(|t|)), with Cin and Si from power
   series up to 4 and a continued fraction for E1(ix) beyond (Abramowitz &
   Stegun 5.2; ``cisi`` in Press et al., Numerical Recipes)
-* jumps of the eps-truncated law are eps**(1 - U), U uniform
 
-Each law knows its first/second/fourth cumulants and can draw the increment
-over an interval of length ``t`` exactly (or, for infinite-activity jump
-measures, to a controlled truncation ``eps`` with the dropped mean added back
-deterministically).
+Each law knows its first/second/fourth cumulants and draws the increment
+over an interval of length ``t`` exactly.  An atomic measure draws a
+Poisson number of jumps by inverse CDF.  For the reciprocal measure the
+increment is the generalized Dickman law GD(theta), theta = c*t: its jumps
+in decreasing order are exp(-Gamma_k/theta), Gamma_k the arrivals of a unit
+Poisson process (Ferguson & Klass, Ann. Math. Statist. 43, 1972), and given
+the largest, J, the rest are J times jumps of the same law (Vervaat, Adv.
+Appl. Probab. 11, 1979), so a cut at J*2^-64 sits below double rounding.
 """
 
 import math
@@ -41,6 +44,16 @@ _CF_MAXIT = 100  # the continued fraction converges in under 70 steps for x > 4
 # thetas x atoms per exponent block, and thetas x sources per block of onoff's
 # row CF: 256 KB complex, in cache
 _ATOM_CHUNK_ELEMENTS = 1 << 14
+# Reciprocal increments draw the jumps in [J*2^-_CUT_BITS, J], J the largest,
+# and add the mean theta*J*2^-_CUT_BITS of the rest.  The rest is J*2^-_CUT_BITS
+# times an independent GD(theta) draw D, so the error left is
+# J*2^-_CUT_BITS*(D - theta): below 1e-16 of the increment (which is >= J)
+# unless D > 2^10 + theta.  (The added mean itself rounds away against 1 + S;
+# it stays so that the formula is the exact one.)  A constant, not an option.
+_CUT_BITS = 64
+# jumps per block of a jump-measure increment draw: its uniforms, jumps and
+# owners take 1.5 MB, however many increments are drawn
+_JUMP_BLOCK = 1 << 16
 
 
 def _cin_si(x):
@@ -134,10 +147,6 @@ class LevyMeasure:
         """int_{[x, inf)} y d(measure)."""
         return self._integral(1, x, np.inf)
 
-    def truncated_first_moment(self, eps):
-        """int_{(0, eps)} y d(measure), the mean carried by small jumps."""
-        return self._integral(1, 0.0, eps)
-
     def scale(self, c):
         """The measure multiplied by a positive constant."""
         c = finite(c, "c", "(0, inf)")
@@ -172,7 +181,7 @@ def reciprocal_measure(b):
 
     Every functional is a closed form, and none runs quadrature: the tail
     mass of [x, 1] is c*log(1/x), int x^q is c/q, int_[x, 1] y is c*(1 - x),
-    int_(0, eps) y is c*eps, and the exponent is c*(-Cin(|t|) + i*sign(t)*Si(|t|)).
+    and the exponent is c*(-Cin(|t|) + i*sign(t)*Si(|t|)).
     """
     return LevyMeasure("reciprocal", c=1.0 / np.log(1.0 / finite(b, "b", "(0, 1)")))
 
@@ -257,7 +266,7 @@ class LevyExponent:
     """An infinitely divisible law, represented by its exponent psi."""
 
     def __init__(self, kind, *, beta=0.0, sigma2=0.0, rate=None, mark=None,
-                 measure=None, trunc_eps=1e-6):
+                 measure=None):
         if kind == "poisson":  # the unit-mark compound Poisson law
             kind, mark = "compound_poisson", MarkDistribution.point_mass(1.0)
         self.kind = kind
@@ -273,13 +282,10 @@ class LevyExponent:
             if measure is None:
                 raise PreconditionError("spectrally_positive needs a LevyMeasure")
             self.measure = measure
-            # only the reciprocal kind truncates, and eps must leave part of (0, 1];
-            # an atomic measure keeps every atom and ignores eps
-            self.trunc_eps = finite(trunc_eps, "trunc_eps",
-                                    "(0, 1)" if measure.kind == "reciprocal" else "(0, inf)")
-            # the no-compensator regime needs a finite first moment
+            # psi needs no centring term only if the first moment is finite
             self._m1 = finite(measure.moment(1), "the measure's first moment", "(0, inf)")
-            self._invcdf = None
+            if measure.kind == "atomic":  # the jump law's CDF, atom by atom
+                self._cdf = np.cumsum(measure.masses) / measure.masses.sum()
         else:
             raise PreconditionError(f"unknown law kind {kind!r}")
 
@@ -325,44 +331,17 @@ class LevyExponent:
 
     # ---- sampling ----------------------------------------------------
 
-    def _jump_table(self):
-        """(inverse CDF, rate, compensator mean) of the jump law: the atoms
-        by their cumulative masses, untruncated, or for the reciprocal kind
-        the eps-truncated law, exactly eps**(1 - u)."""
-        if self._invcdf is None:
-            nu, eps = self.measure, self.trunc_eps
-            if nu.kind == "atomic":  # every atom kept: no truncation, no compensator
-                cdf = np.cumsum(nu.masses) / nu.masses.sum()
-
-                def invcdf(u):
-                    return nu.locations[np.minimum(np.searchsorted(cdf, u, "right"), cdf.size - 1)]
-                self._invcdf = (invcdf, float(nu.masses.sum()), 0.0)
-            else:
-                def invcdf(u):
-                    return eps ** (1.0 - u)
-                self._invcdf = (invcdf, nu.tail(eps), nu.truncated_first_moment(eps))
-        return self._invcdf
-
-    def truncation_info(self):
-        """(eps, retained jump rate, mean restored per unit time)."""
-        if self.kind != "spectrally_positive":
-            raise PreconditionError("truncation applies only to spectrally positive laws")
-        _, rate, comp = self._jump_table()
-        eps = 0.0 if self.measure.kind == "atomic" else self.trunc_eps
-        return {"eps": eps, "rate": rate, "compensator_mean": comp}
-
     def sample_increment(self, t, rng, size=None):
-        """Draw the increment over an interval of length t.
+        """Draw the increment over an interval of length t, exactly.
 
-        Returns a scalar for size=None, else an ndarray of that shape.
-        The interface is exact for every kind except the reciprocal jump
-        measure, whose activity is infinite: jumps below ``trunc_eps`` are
-        dropped and their exact mean ``t * int_0^eps x nu(dx)`` is added
-        back deterministically.  Every jump measure draws one Poisson
-        count per increment and then that many jumps from ``_jump_table``.
+        Returns a scalar for size=None, else an ndarray of that shape.  A
+        jump measure draws one Poisson count per increment, then that many
+        jumps, a block of increments at a time.  The reciprocal measure first
+        draws the largest jump J = exp(-E/theta), E ~ Exp(1), then counts only
+        the jumps in [J*2^-64, J], each J*2^(-64 U), and returns
+        J*(1 + S + theta*2^-64), S their sum over J (see _CUT_BITS).
         """
-        if t < 0:
-            raise PreconditionError("t must be nonnegative")
+        t = finite(t, "t", "[0, inf)")
         shape = () if size is None else size
         if t == 0:
             out = np.zeros(shape)
@@ -376,13 +355,30 @@ class LevyExponent:
         elif self.kind == "gamma":
             out = rng.gamma(t, 1.0, size=shape)
         else:
-            invcdf, rate, comp = self._jump_table()
-            counts = np.atleast_1d(rng.poisson(rate * t, size=shape))
-            total = int(counts.sum())
-            jumps = invcdf(rng.uniform(size=total))
-            owner = np.repeat(np.arange(counts.size), counts.ravel())
-            flat = np.bincount(owner, weights=jumps, minlength=counts.size)
-            out = flat.reshape(shape) + t * comp
+            nu = self.measure
+            if nu.kind == "atomic":
+                count_mean = float(nu.masses.sum()) * t
+            else:
+                theta = nu.c * t
+                top = np.exp(-rng.standard_exponential(size=shape) / theta)
+                count_mean = theta * _CUT_BITS * math.log(2.0)
+            counts = np.ravel(rng.poisson(count_mean, size=shape))
+            out = np.empty(counts.size)
+            # a block of draws holds about _JUMP_BLOCK jumps, whatever size is
+            step = max(1, int(_JUMP_BLOCK // (1.0 + count_mean)))
+            for lo in range(0, counts.size, step):
+                part = counts[lo:lo + step]
+                u = rng.uniform(size=int(part.sum()))
+                if nu.kind == "atomic":
+                    cdf = self._cdf
+                    jumps = nu.locations[np.minimum(np.searchsorted(cdf, u, "right"), cdf.size - 1)]
+                else:  # over J, log-uniform on [2^-64, 1]
+                    jumps = np.exp2(np.multiply(u, -_CUT_BITS, out=u), out=u)
+                owner = np.repeat(np.arange(part.size), part)
+                out[lo:lo + step] = np.bincount(owner, weights=jumps, minlength=part.size)
+            out = out.reshape(shape)
+            if nu.kind == "reciprocal":
+                out = top * (1.0 + out + theta * 2.0**-_CUT_BITS)
         if size is None:
             return float(np.asarray(out))
         return out
@@ -406,5 +402,5 @@ def gamma_law():
     return LevyExponent("gamma")
 
 
-def spectrally_positive(measure, trunc_eps=1e-6):
-    return LevyExponent("spectrally_positive", measure=measure, trunc_eps=trunc_eps)
+def spectrally_positive(measure):
+    return LevyExponent("spectrally_positive", measure=measure)

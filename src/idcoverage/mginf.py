@@ -18,7 +18,7 @@ Res. 41, 1993), so only they and the arrivals on (t_1, t_n] are drawn."""
 import numpy as np
 
 from .corr import as_grid, block_spans
-from .errors import finite
+from .errors import count, finite
 
 
 class MGInfinityModel:
@@ -80,7 +80,7 @@ class MGInfinityModel:
         """
         t = as_grid(grid).t
         n = t.size
-        reps = 1 if size is None else int(size)
+        reps = 1 if size is None else count(size, "size")
         span = t[-1] - t[0]
         present = rng.poisson(self.rho, size=reps)
         fresh = rng.poisson(self.arrival_rate * span, size=reps)

@@ -32,7 +32,7 @@ from itertools import combinations
 import numpy as np
 
 from . import corr, fidi, levy, rng as rngmod, stats
-from .errors import BoundViolationError, PreconditionError, finite
+from .errors import BoundViolationError, PreconditionError, count, finite
 
 _BLOCK_ELEMENTS = 5_000_000
 _SUBSET_CAP = 12
@@ -146,9 +146,7 @@ class OnOffSource:
 
     def transition_matrix(self, t):
         """P(t) over states (OFF, ON); exact two-state chain solution."""
-        if t < 0:
-            raise PreconditionError("t must be nonnegative")
-        p01, p11 = _on_probs(self.lam, self.mu, t)
+        p01, p11 = _on_probs(self.lam, self.mu, finite(t, "t", "[0, inf)"))
         return np.array([[1.0 - p01, p01], [1.0 - p11, p11]])
 
     def joint_on_moment(self, epochs):
@@ -168,7 +166,7 @@ class OnOffSource:
         """Draw zeta at the grid epochs exactly (stationary start, exact
         gap transitions; no path discretization)."""
         out = _row_paths(np.array([self.lam]), self.mu, np.array([self.r]),
-                         corr.as_grid(grid).t, rng, 1 if size is None else int(size))
+                         corr.as_grid(grid).t, rng, 1 if size is None else count(size, "size"))
         return out[0] if size is None else out
 
 
@@ -251,7 +249,7 @@ def superpose(spec, n, grid, rng, reps=None):
     """
     lam, r = spec.row(n)
     t = corr.as_grid(grid).t
-    total = 1 if reps is None else int(reps)
+    total = 1 if reps is None else count(reps, "reps")
     block = row_batch(n)
     out = np.empty((total, t.size))
     for lo in range(0, total, block):

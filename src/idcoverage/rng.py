@@ -12,6 +12,8 @@ from collections import deque
 
 import numpy as np
 
+from .errors import count
+
 DEFAULT_BATCH = 100_000
 
 
@@ -23,8 +25,7 @@ def child_rng(seed, *key):
 
 def batch_sizes(total, batch=DEFAULT_BATCH):
     """Deterministic batch partition of ``total`` draws."""
-    if total < 0:
-        raise ValueError("total must be nonnegative")
+    total = count(total, "total")
     sizes = [batch] * (total // batch)
     if total % batch:
         sizes.append(total % batch)

@@ -76,10 +76,11 @@ class TestLawFromConfig:
             cfg.law_from_config({"kind": "gamma", "sigma2": 1.0})
 
     def test_trunc_eps_and_normal_mark_default(self):
-        law = cfg.law_from_config({"kind": "spectrally_positive",
-                                   "measure": {"kind": "reciprocal", "b": 0.5},
-                                   "trunc_eps": 1e-3})
-        assert law.truncation_info()["eps"] == 1e-3
+        # every law is sampled exactly, so no law takes a truncation
+        with pytest.raises(cfg.ConfigError, match=r"^law\.trunc_eps: unknown field$"):
+            cfg.law_from_config({"kind": "spectrally_positive",
+                                 "measure": {"kind": "reciprocal", "b": 0.5},
+                                 "trunc_eps": 1e-3})
         mark = cfg.mark_from_config({"kind": "normal", "variance": 4.0})
         assert mark.moment(1) == 0.0
 
@@ -154,8 +155,6 @@ NUMERIC_FIELDS = [
     ("law", {"kind": "poisson", "rate": 1.0}, ("rate",), "law: rate"),
     ("law", {"kind": "compound_poisson", "rate": 1.0,
              "mark": {"kind": "point_mass", "value": 1.0}}, ("rate",), "law: rate"),
-    ("law", {"kind": "spectrally_positive", "trunc_eps": 1e-3,
-             "measure": {"kind": "reciprocal", "b": 0.5}}, ("trunc_eps",), "law: trunc_eps"),
     ("mark", {"kind": "point_mass", "value": 1.0}, ("value",), "marks: value"),
     ("mark", {"kind": "discrete", "values": [1.0, 2.0], "probs": [0.5, 0.5]},
      ("values", 0), "marks: values"),
@@ -1085,13 +1084,13 @@ NAN, INF = float("nan"), float("inf")
     ("check-array", dict(ASSUMPTION_CONF, eps_list=[-0.1]), "eps_list"),
     ("convergence", dict(ASSUMPTION_CONF, eps_list=[0.1, -0.1]), "eps_list"),
     ("convergence", dict(ASSUMPTION_CONF, rtol_tail=INF), "rtol_tail"),
-    # truncating c/x on (0, 1] at eps >= 1 would drop every jump
-    ("cf-eval", dict(SAMPLE_CONF, law={"kind": "spectrally_positive", "trunc_eps": 2.0,
+    # no law truncates, so trunc_eps is a field of none
+    ("cf-eval", dict(SAMPLE_CONF, law={"kind": "spectrally_positive", "trunc_eps": 1e-3,
                                        "measure": {"kind": "reciprocal", "b": 0.5}}),
-     "law: trunc_eps"),
-    ("sample", dict(SAMPLE_CONF, law={"kind": "spectrally_positive", "trunc_eps": 2.0,
+     "law.trunc_eps: unknown field"),
+    ("sample", dict(SAMPLE_CONF, law={"kind": "spectrally_positive", "trunc_eps": 1e-3,
                                       "measure": {"kind": "reciprocal", "b": 0.5}}),
-     "law: trunc_eps"),
+     "law.trunc_eps: unknown field"),
 ])
 def test_non_finite_or_out_of_range_number_exits_2_and_writes_nothing(
         tmp_path, monkeypatch, capsys, command, conf, named):

@@ -215,6 +215,23 @@ def test_sampler_matches_per_block_reference(law_name):
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
 
 
+def test_reciprocal_law_pair_cfs_on_50_epochs():
+    # the paper's limit law, sampled block by block on a long grid: each of
+    # the 1,275 blocks is an exact GD(c a[i,j]) increment, many with tiny a
+    proc = fidi.CoverageProcess(levy.spectrally_positive(levy.reciprocal_measure(0.5)),
+                                corr.power_structure(0.5))
+    grid = corr.TimeGrid([0.1 * k for k in range(50)])
+    n = 20_000
+    x = proc.sample(grid, child_rng(50), size=n)
+    for i, j, th_i, th_j in ((0, 1, 1.0, -0.5), (0, 49, 2.0, 1.0), (20, 21, -1.5, 3.0),
+                             (10, 30, 0.7, 0.7), (49, 49, 2.5, 0.0)):
+        theta = np.zeros(50)
+        theta[i] += th_i
+        theta[j] += th_j
+        got = np.exp(1j * (x @ theta)).mean()
+        assert abs(got - proc.cf(grid, theta)) <= 4.0 / np.sqrt(n), (i, j)
+
+
 def test_fourth_moment_gaussian_matches_isserlis():
     sigma2 = 1.7
     law = levy.gaussian(0.0, sigma2)

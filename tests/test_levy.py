@@ -5,11 +5,13 @@ recomputed in the test body through an independent route (scipy
 quadrature, plain Monte Carlo with generous sigma bounds).
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from idcoverage import levy, onoff
+from idcoverage import corr, fidi, levy, onoff
 from idcoverage.errors import PreconditionError, UnsupportedMomentError
 from idcoverage.rng import child_rng
 
@@ -195,10 +197,6 @@ class TestReciprocalMeasure:
         for x in (0.25, 0.5, 0.75):
             assert self.nu.first_moment_tail(x) == pytest.approx((1.0 - x) * self.c, rel=1e-10)
 
-    def test_truncated_first_moment(self):
-        for eps in (0.1, 0.05):
-            assert self.nu.truncated_first_moment(eps) == pytest.approx(eps * self.c, rel=1e-10)
-
     def test_exponent_value_against_direct_quadrature(self):
         th = 1.7
         re, _ = integrate.quad(lambda x: (np.cos(th * x) - 1.0) / (x * np.log(2.0)), 0, 1)
@@ -240,32 +238,49 @@ class TestReciprocalMeasure:
                                      np.sign(theta) * np.pi / 2)
         assert abs(got - asymptote) <= 2.0 * self.c / abs(theta)
 
-    def test_scaled_truncation_is_closed_form(self):
-        k, eps = 0.37, 1e-3
-        law = levy.spectrally_positive(self.nu.scale(k), trunc_eps=eps)
-        info = law.truncation_info()
-        assert info["rate"] == pytest.approx(k * self.c * np.log(1.0 / eps), rel=1e-15)
-        assert info["compensator_mean"] == pytest.approx(k * self.c * eps, rel=1e-15)
-        invcdf = law._jump_table()[0]
-        u = child_rng(5).uniform(size=100_000)
-        jumps = invcdf(u)
-        assert invcdf(0.0) == eps and invcdf(1.0) == 1.0
-        assert (jumps >= eps).all() and (jumps <= 1.0).all()
-        # the truncated law has CDF log(x/eps)/log(1/eps) on [eps, 1]
-        for x in (1e-2, 0.1, 0.5):
-            assert (jumps <= x).mean() == pytest.approx(
-                np.log(x / eps) / np.log(1.0 / eps), abs=4 * 0.5 / np.sqrt(u.size))
-
     def test_increment_stream_is_poisson_counts_then_uniforms(self):
-        eps, t = 1e-3, 0.8
-        law = levy.spectrally_positive(self.nu, trunc_eps=eps)
-        got = law.sample_increment(t, child_rng(9), size=(4, 3))
+        # the largest jump J = exp(-E/theta), then a Poisson count of the
+        # jumps in [J 2^-64, J], each J 2^(-64 U), then the mean of the rest
+        t = 0.8
+        theta = self.c * t
+        law = levy.spectrally_positive(self.nu)
+        got_rng = child_rng(9)
+        got = law.sample_increment(t, got_rng, size=(4, 3))
         rng = child_rng(9)
-        counts = rng.poisson(self.c * np.log(1.0 / eps) * t, size=(4, 3))
-        jumps = eps ** (1.0 - rng.uniform(size=int(counts.sum())))
+        top = np.exp(-rng.standard_exponential(size=(4, 3)) / theta)
+        counts = rng.poisson(theta * 64 * np.log(2.0), size=(4, 3))
+        ratios = 2.0 ** (-64.0 * rng.uniform(size=int(counts.sum())))
         owner = np.repeat(np.arange(counts.size), counts.ravel())
-        ref = np.bincount(owner, weights=jumps, minlength=counts.size).reshape(4, 3)
-        np.testing.assert_allclose(got, ref + t * self.c * eps, rtol=1e-14)
+        s = np.bincount(owner, weights=ratios, minlength=counts.size).reshape(4, 3)
+        np.testing.assert_allclose(got, top * (1.0 + s + theta * 2.0**-64), rtol=1e-14)
+        assert got_rng.uniform() == rng.uniform()
+
+
+@pytest.mark.parametrize("theta", [1e-3, 0.05, 0.3, 1.0, 3.0])
+def test_reciprocal_increment_is_generalized_dickman(theta):
+    # c/x on (0, 1] over time t gives GD(theta), theta = c*t, whose CDF on
+    # (0, 1] is e^{-gamma theta} x^theta / Gamma(theta + 1); a scaled
+    # measure keeps the law with c scaled
+    nu = levy.reciprocal_measure(0.5).scale(0.37)
+    n = 400_000
+    x = levy.spectrally_positive(nu).sample_increment(theta / nu.c, child_rng(31), size=(n,))
+    for q in (1e-8, 1e-3, 0.1, 0.5, 1.0):
+        p = math.exp(-np.euler_gamma * theta) * q**theta / math.gamma(theta + 1.0)
+        se = math.sqrt(p * (1.0 - p) / n)
+        assert abs((x <= q).mean() - p) <= 4.0 * se, (q, (x <= q).mean(), p)
+
+
+@pytest.mark.parametrize("measure", [levy.reciprocal_measure(0.5),
+                                     levy.LevyMeasure.atomic([0.5, 1.5], [1.0, 0.5])],
+                         ids=["reciprocal", "atomic"])
+def test_jump_blocks_never_change_the_draws(monkeypatch, measure):
+    # jumps are drawn a block of increments at a time; uniforms drawn in
+    # blocks are the uniforms of one call, so the block size is invisible
+    law = levy.spectrally_positive(measure)
+    want = law.sample_increment(2.0, child_rng(4), size=(500,))
+    monkeypatch.setattr(levy, "_JUMP_BLOCK", 7)
+    np.testing.assert_array_equal(law.sample_increment(2.0, child_rng(4), size=(500,)), want)
+    assert isinstance(law.sample_increment(2.0, child_rng(4)), float)
 
 
 def test_cin_si_against_scipy_sici():
@@ -294,7 +309,6 @@ def test_atomic_measure_bookkeeping():
     assert nu.moment(1) == pytest.approx(0.2 + 0.9 + 0.4)
     assert nu.tail(1.0) == pytest.approx(1.1)
     assert nu.first_moment_tail(1.0) == pytest.approx(1.3)
-    assert nu.truncated_first_moment(1.0) == pytest.approx(0.2)
 
 
 def _atomic_exponent_per_theta(nu, theta):
@@ -414,16 +428,9 @@ def test_increment_at_time_zero_is_zero_and_free():
     assert r1.integers(1 << 30) == r2.integers(1 << 30)
 
 
-def test_truncated_density_sampler_preserves_mean():
-    # small jumps below eps are swept into a deterministic drift, so the
-    # increment mean must stay exact while jumps stay above eps
+def test_reciprocal_increment_mean_and_variance():
     nu = levy.reciprocal_measure(0.5)
-    law = levy.spectrally_positive(nu, trunc_eps=1e-4)
-    info = law.truncation_info()
-    assert info["eps"] == 1e-4
-    assert info["rate"] == pytest.approx(nu.tail(1e-4), rel=1e-8)
-    assert info["compensator_mean"] == pytest.approx(
-        nu.truncated_first_moment(1e-4), rel=1e-6)
+    law = levy.spectrally_positive(nu)
     n = 400_000
     x = law.sample_increment(1.0, child_rng(42), size=(n,))
     mu, var = law.mean(), law.variance()
@@ -448,33 +455,24 @@ def test_law_validation():
         levy.poisson(-2.0)
     with pytest.raises(PreconditionError):
         levy.LevyExponent("weibull")
-    with pytest.raises(PreconditionError):
-        levy.spectrally_positive(levy.reciprocal_measure(0.5), trunc_eps=0.0)
-
-
-@pytest.mark.parametrize("eps", [1.0, 2.0])
-def test_trunc_eps_must_leave_part_of_the_reciprocal_support(eps):
-    # at or above 1 the truncation would drop every jump of c/x on (0, 1]
-    with pytest.raises(PreconditionError, match="^trunc_eps"):
-        levy.spectrally_positive(levy.reciprocal_measure(0.5), eps)
-    # an atomic measure keeps every atom, whatever eps is
-    atoms = levy.spectrally_positive(levy.LevyMeasure.atomic([0.5], [1.0]), eps)
-    assert atoms.truncation_info()["eps"] == 0.0
 
 
 # -- one parameter rule ------------------------------------------------------
 
 BAD_NUMBERS = [np.nan, np.inf, -np.inf, True, "1", None]
 
-# each numeric parameter of each levy constructor, as a one-argument builder
+# each numeric parameter of each levy constructor, and each time argument, as
+# a one-argument builder
 LEVY_PARAMETERS = {
     "gaussian.beta": lambda v: levy.gaussian(v, 1.0),
     "gaussian.sigma2": lambda v: levy.gaussian(0.0, v),
     "poisson.rate": levy.poisson,
     "compound_poisson.rate": lambda v: levy.compound_poisson(
         v, levy.MarkDistribution.point_mass(1.0)),
-    "spectrally_positive.trunc_eps": lambda v: levy.spectrally_positive(
-        levy.reciprocal_measure(0.5), v),
+    "sample_increment.t": lambda v: levy.gaussian(0.0, 1.0).sample_increment(v, child_rng(1)),
+    "increment_cf.h": lambda v: fidi.CoverageProcess(
+        levy.gamma_law(), corr.power_structure(0.5)).increment_cf(v, 1.0),
+    "transition_matrix.t": lambda v: onoff.OnOffSource(1.0, 1.0, 1.0).transition_matrix(v),
     "point_mass.value": levy.MarkDistribution.point_mass,
     "discrete.values": lambda v: levy.MarkDistribution.discrete([v, 1.0], [0.5, 0.5]),
     "discrete.probs": lambda v: levy.MarkDistribution.discrete([0.0, 1.0], [v, 0.5]),
@@ -529,5 +527,3 @@ def test_atomic_increments_cost_draws_plus_jumps():
     mu, var = t * law.mean(), t * law.variance()
     assert x.mean() == pytest.approx(mu, abs=4 * np.sqrt(var / n))
     assert x.var(ddof=1) == pytest.approx(var, rel=0.05)
-    assert law.truncation_info() == {"eps": 0.0, "rate": float(nu.masses.sum()),
-                                     "compensator_mean": 0.0}

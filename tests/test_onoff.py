@@ -221,9 +221,8 @@ class TestRowMeasureAndLimits:
         assert emp.tail(1.0) == 6.0
         assert emp.first_moment_tail(1.0) == 10.0
         assert emp.moment_sum(2) == emp.moment(2) == 0.25 + 2.0 + 16.0
-        # small jumps take the atom at eps; the levy truncation stops below it
+        # small jumps take the atom at eps
         assert emp.small_jump_first_moment(1.0) == 2.5
-        assert emp.truncated_first_moment(1.0) == 0.5
 
     def test_small_jump_sums(self):
         for eps in (0.1, 0.05):

@@ -7,7 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from idcoverage import rng as rngmod
+from idcoverage import corr, fidi, levy, mginf, onoff, rng as rngmod
+from idcoverage.errors import PreconditionError
 
 
 def test_run_batched_empty_keeps_trailing_shape():
@@ -77,3 +78,34 @@ def test_run_batched_refuses_a_batch_unlike_the_first(odd):
 
     with pytest.raises(ValueError, match="batch"):
         rngmod.run_batched(fn, 250, 7, batch=100)
+
+
+# every count argument, as a one-argument call that returns rows
+COUNT_ARGUMENTS = {
+    "CoverageProcess.sample.size": lambda v: fidi.CoverageProcess(
+        levy.gamma_law(), corr.power_structure(0.5)).sample([0.0, 1.0], rngmod.child_rng(3), v),
+    "MGInfinityModel.simulate.size": lambda v: mginf.MGInfinityModel(
+        2.0, corr.ServiceDistribution.exponential(1.0)).simulate([0.0, 1.0],
+                                                                 rngmod.child_rng(3), v),
+    "superpose.reps": lambda v: onoff.superpose(
+        onoff.OnOffArraySpec("power_example", 1.0, alpha_exp=0.5, b=0.5), 10, [0.0, 1.0],
+        rngmod.child_rng(3), reps=v),
+    "OnOffSource.simulate_path.size": lambda v: onoff.OnOffSource(1.0, 1.0, 1.0).simulate_path(
+        [0.0, 1.0], rngmod.child_rng(3), v),
+    "run_batched.total": lambda v: rngmod.run_batched(_rows, v, 7, batch=2),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, -2, "3", None, np.float64(0.5), np.bool_(True)],
+                         ids=repr)
+@pytest.mark.parametrize("entry", list(COUNT_ARGUMENTS))
+def test_every_count_is_a_whole_number(entry, value):
+    call = COUNT_ARGUMENTS[entry]
+    name = entry.split(".")[-1]
+    if value is None and name != "total":  # one draw, not a count
+        assert call(value).ndim == 1
+        return
+    with pytest.raises(PreconditionError, match=f"^{name}: expected an integer >= 0"):
+        call(value)
+    for whole in (3, 3.0, np.int64(3), np.int32(3)):
+        assert call(whole).shape[0] == 3
