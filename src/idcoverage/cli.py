@@ -20,12 +20,9 @@ from .errors import BoundViolationError, PreconditionError, count, finite
 
 _DEFAULT_THETA = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
 _DEFAULT_THETA_MAX_EPOCHS = 6   # 6^6 = 46,656 default theta vectors
-# values per % call of the integer writer: 2**15 Python numbers and their
-# text take about 2 MB, whatever the row width
-_CSV_BLOCK_ELEMENTS = 2**15
-# values per block of the float kernel: its temporaries take about 250 bytes
-# a value, so about 2 MB, whatever the row width
-_CSV_FLOAT_BLOCK = 2**13
+# values per block of whole rows that _write_csv formats at once: the float
+# kernel's temporaries take about 250 bytes a value, so about 2 MB
+_CSV_BLOCK_VALUES = 2**13
 _ASSUMPTION_DEFAULTS = {"n_list": [100, 1000, 10000], "x_probe": [0.25, 0.5, 0.75],
                         "eps_list": [0.1, 0.05], "rtol_tail": 0.02}
 # every top-level config field some command reads; any other is refused
@@ -65,13 +62,16 @@ def _top_level_fields():
         raise cfg.ConfigError(str(exc)) from exc
 
 
-def _reps_seed(args, conf):
-    """(reps, seed): each flag, else its config field; seed defaults to 0."""
+def _reps_seed(args, conf, least=0):
+    """(reps, seed): each flag, else its config field; seed defaults to 0.
+    reps below ``least`` is a usage error."""
     if args.reps is None and conf.get("reps") is None:
         raise CliError("reps must be given as a flag or config field")
     with _top_level_fields():
         reps = count(conf.get("reps"), "reps") if args.reps is None else args.reps
         seed = count(conf.get("seed", 0), "seed") if args.seed is None else args.seed
+    if reps < least:
+        raise CliError(f"{args.command} needs reps >= {least}, got {reps}")
     return reps, seed
 
 
@@ -131,15 +131,16 @@ def _split(a):
 
 
 def _python_text(values):
-    """'%.17g' of each of ``values``, one Python call each: _float_csv's
-    fallback."""
+    """'%.17g' of each of ``values``, one Python call each: the float
+    kernel's fallback."""
     return ["%.17g" % v for v in values]
 
 
-def _float_csv(arr):
-    """The CSV text of float array ``arr``, as one uint8 array of bytes per
-    _CSV_FLOAT_BLOCK values: each value in '%.17g', then ',' or a newline
-    at the end of a row.
+def _float_csv():
+    """The float kernel: a function that gives the CSV text of a 2-D block
+    of floats as one uint8 array of bytes, each value in '%.17g' and then
+    ',', or a newline at the end of a row.  Its tables are built here, once
+    per write, not once per block.
 
     For 1e-4 <= |x| < 1e17, '%.17g' is fixed notation: with k the decimal
     exponent of |x|, the 17 digits are m = round(|x| * 10**(16 - k)), and
@@ -169,7 +170,7 @@ def _float_csv(arr):
     # digits before the point (w >> 6 bytes) and of the digits after it
     # (w >> tail bytes), and the tail shift in bits.
     layout = np.zeros((21, 3, 24), np.uint8)
-    tail = np.zeros(21, u64)
+    tail = (8 * (5 + np.minimum(np.arange(-4, 17), 0))).astype(u64)
     for k in range(-4, 17):
         fixed, head, rest = layout[k + 4]
         fixed[0] = ord("-")
@@ -180,14 +181,10 @@ def _float_csv(arr):
             fixed[k + 2] = ord(".")
             head[1:k + 2] = 255
             rest[k + 3:23] = 255
-        tail[k + 4] = 8 * (5 + min(k, 0))
     layout = layout.view("<u8").reshape(21, 9)
     # bytes kept of a record, by 32 * (starts at the sign) + end of its text
-    keep = np.zeros((2, 32, 32), bool)
-    for neg in (0, 1):
-        for end in range(32):
-            keep[neg, end, 1 - neg:end] = True
-    keep[:, :, 31] = True
+    byte = np.arange(32)
+    keep = (byte >= 1 - np.arange(2)[:, None, None]) & (byte < byte[:, None]) | (byte == 31)
     keep = keep.reshape(64, 32).view("V32").ravel()
 
     def scaled(v, j):
@@ -242,11 +239,11 @@ def _float_csv(arr):
         return (ascii4_hi[lead], ascii4[g1] | ascii4_hi[g2], ascii4[g3] | ascii4_hi[g4],
                 16 - zeros)
 
-    def records(m, k):
-        """(out, end): the records of the unsigned texts, without
-        separators, and the end of each text."""
+    def block_text(block):
+        x = np.asarray(block, dtype=np.float64).reshape(-1)
+        m, k, python = digits(x)
         w0, w1, w2, last = words(m)
-        end = np.where(last > k, last + 3 - np.minimum(k, 0), k + 2)
+        end = np.where(last > k, last + 3 - np.minimum(k, 0), k + 2) + 32 * (x < 0)
         lay = np.take(layout, k + 4, axis=0)
         s = tail[k + 4]
         out = np.empty((m.size, 4), "<u8")
@@ -255,52 +252,45 @@ def _float_csv(arr):
         out[:, 1] = lay[:, 1] | ((w1 >> u64(48)) | (w2 << u64(16))) & lay[:, 4] \
             | ((w1 >> s) | (w2 << (u64(64) - s))) & lay[:, 7]
         out[:, 2] = lay[:, 2] | (w2 >> u64(48)) & lay[:, 5] | (w2 >> s) & lay[:, 8]
-        return out, end
-
-    ncols = arr.shape[1]
-    flat = arr.reshape(-1)
-    for first in range(0, flat.size, _CSV_FLOAT_BLOCK):
-        x = np.asarray(flat[first:first + _CSV_FLOAT_BLOCK], dtype=np.float64)
-        m, k, python = digits(x)
-        out, end = records(m, k)
         out[:, 3] = u64(ord(",") << 56)
-        out[ncols - 1 - first % ncols::ncols, 3] = u64(ord("\n") << 56)
-        end += 32 * (x < 0)
+        out[block.shape[1] - 1::block.shape[1], 3] = u64(ord("\n") << 56)
         rows = np.flatnonzero(python)
         if rows.size:
             text = _python_text(x[rows].tolist())
             out[rows, :3] = np.array(text, dtype="S24").view("<u8").reshape(-1, 3)
             end[rows] = [32 + len(t) for t in text]
-        yield out.view(np.uint8).reshape(-1)[keep.take(end).view(bool)]
+        return out.view(np.uint8).reshape(-1)[keep.take(end).view(bool)]
+
+    return block_text
 
 
 def _write_csv(path, arr, force, header=None):
     """Write ``arr`` as CSV under ``header``, by default x1..xn: integers
     as %d, floats as %.17g, in the bytes np.savetxt writes (it applies the
-    same ``%`` format one row at a time).  Integers take one ``%`` call per
-    block of whole rows holding at most _CSV_BLOCK_ELEMENTS values (one row,
-    when a row is wider); floats take _float_csv, _CSV_FLOAT_BLOCK values at
-    a time.  So besides ``arr`` the write holds one block's temporaries,
-    whatever the width."""
+    same ``%`` format one row at a time).  This is the one block loop: each
+    block of whole rows is formatted at once, integers and rows of no values
+    by one ``%`` call, floats by the _float_csv kernel.  So besides ``arr``
+    the write holds the temporaries of one block: _CSV_BLOCK_VALUES values,
+    or one row when a row is wider."""
     _guard_out(path, force)
     arr = np.atleast_2d(arr)
+    ncols = arr.shape[1]
     if header is None:
-        header = ",".join(f"x{k + 1}" for k in range(arr.shape[1]))
-    integer = np.issubdtype(arr.dtype, np.integer)
+        header = ",".join(f"x{k + 1}" for k in range(ncols))
+    if ncols and not np.issubdtype(arr.dtype, np.integer):
+        block_text = _float_csv()
+    else:
+        line = ",".join(["%d"] * ncols) + "\n"
+
+        def block_text(block):
+            return ((line * len(block)) % tuple(block.ravel().tolist())).encode()
+    rows = max(1, _CSV_BLOCK_VALUES // max(ncols, 1))
 
     def write(fh):
         if header:
             fh.write(header.encode() + b"\n")
-        if not integer and arr.shape[1]:
-            for text in _float_csv(arr):
-                fh.write(text)
-            return
-        # integers, and rows of no values
-        line = ",".join(["%d"] * arr.shape[1]) + "\n"
-        rows = max(1, _CSV_BLOCK_ELEMENTS // max(arr.shape[1], 1))
         for start in range(0, arr.shape[0], rows):
-            block = arr[start:start + rows]
-            fh.write(((line * block.shape[0]) % tuple(block.ravel().tolist())).encode())
+            fh.write(block_text(arr[start:start + rows]))
 
     _replace_into(path, write, "wb")
 
@@ -317,11 +307,18 @@ def _thetas(conf, n):
     return stats.theta_product_grid([_DEFAULT_THETA] * n)
 
 
-def _assumptions(conf):
+def _check_rows(spec, field, ns):
+    """Refuse a row in ``ns`` that an explicit ``spec`` lacks, naming config ``field``."""
+    for n in ns:
+        if spec.kind == "explicit" and n not in spec.rows:
+            raise cfg.ConfigError(f"{field}: row {n} is not defined in the explicit array")
+
+
+def _assumptions(conf, spec):
     """check_assumptions' settings: the config's fields, else the defaults.
-    n_list holds whole numbers >= 1, x_probe and eps_list finite numbers
-    > 0, each in a nonempty list, and rtol_tail is a finite number >= 0;
-    any other value is a ConfigError naming the field.  Call before sampling."""
+    n_list holds whole numbers >= 1, rows of ``spec``, x_probe and eps_list
+    finite numbers > 0, each in a nonempty list, and rtol_tail is a finite
+    number >= 0, else a ConfigError names the field.  Call before sampling."""
     settings = {field: conf.get(field, value) for field, value in _ASSUMPTION_DEFAULTS.items()}
     for field in ("n_list", "x_probe", "eps_list"):
         if not isinstance(settings[field], list) or not settings[field]:
@@ -331,6 +328,7 @@ def _assumptions(conf):
         for field in ("x_probe", "eps_list"):
             settings[field] = finite(settings[field], field, "(0, inf)", vector=True).tolist()
         settings["rtol_tail"] = finite(settings["rtol_tail"], "rtol_tail", "[0, inf)")
+    _check_rows(spec, "n_list", settings["n_list"])
     return settings
 
 
@@ -372,9 +370,7 @@ def cmd_simulate_coverage(args):
     grid = cfg.grid_from_config(conf.get("grid"), "grid")
     # refuse before sampling, not after a long run
     thetas = _thetas(conf, len(grid))
-    if _reps_seed(args, conf)[0] < 2:
-        raise CliError("simulate-coverage needs reps >= 2: its report holds "
-                       "sample variances")
+    _reps_seed(args, conf, least=2)   # the report holds sample variances
     _guard_out(args.out, args.force)
     report_path = _guard_out(os.path.splitext(args.out)[0] + ".json", args.force)
     samples = _draw(args, conf, lambda rng, count: model.simulate(grid, rng, size=count))
@@ -398,6 +394,7 @@ def cmd_simulate_onoff(args):
         raise CliError("n (row size) must be set in the config")
     with _top_level_fields():
         n = count(conf["n"], "n", least=1)
+    _check_rows(spec, "n", [n])
     _guard_out(args.out, args.force)  # refuse before sampling, not after
     samples = _draw(args, conf, lambda rng, count: onoff.superpose(
         spec, n, grid, rng, reps=count), batch=onoff.row_batch(n))
@@ -409,7 +406,7 @@ def cmd_check_array(args):
     conf = _load_config(args)
     spec = cfg.array_from_config(conf.get("array", {}), "array")
     nu = cfg.measure_from_config(conf.get("measure", {}), "measure")
-    _emit_json(args, onoff.check_assumptions(spec, nu=nu, **_assumptions(conf)))
+    _emit_json(args, onoff.check_assumptions(spec, nu=nu, **_assumptions(conf, spec)))
     return 0
 
 
@@ -418,8 +415,8 @@ def cmd_convergence(args):
     spec = cfg.array_from_config(conf.get("array", {}), "array")
     nu = cfg.measure_from_config(conf.get("measure", {}), "measure")
     grid = cfg.grid_from_config(conf.get("grid"), "grid")
-    settings = _assumptions(conf)
-    reps, seed = _reps_seed(args, conf)
+    settings = _assumptions(conf, spec)
+    reps, seed = _reps_seed(args, conf, least=1)
     thetas = _thetas(conf, len(grid))
     # refuse before the study, not after it
     _guard_out(args.out, args.force)
@@ -428,8 +425,7 @@ def cmd_convergence(args):
                                      settings["n_list"], reps, seed, threads=args.threads)
     report["assumptions"] = onoff.check_assumptions(spec, nu=nu, **settings)
     _write_json(args.out, report, args.force)
-    rows = report["rows"]
-    table = np.array([[r["n"], r["sup"], r["l2"], r["analytic_bias"]] for r in rows])
+    table = np.array([[r["n"], r["sup"], r["l2"], r["analytic_bias"]] for r in report["rows"]])
     _write_csv(table_path, table, args.force, header="n,sup,l2,analytic_bias")
     return 0
 
@@ -449,21 +445,23 @@ def cmd_verify(args):
     return 0
 
 
-def _nonnegative(text):
-    """argparse type of --seed and --reps: a usage error below 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
-    return value
+def _at_least(least):
+    """argparse type of an integer flag: a usage error below ``least``."""
+    def integer(text):
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text}")
+        return int(text)
+    return integer
 
 
 _FLAGS = {
     "--config": dict(help="JSON config file"),
-    "--seed": dict(type=_nonnegative, help="RNG seed (overrides config)"),
-    "--reps": dict(type=_nonnegative, help="replication count (overrides config)"),
+    "--seed": dict(type=_at_least(0), help="RNG seed (overrides config)"),
+    "--reps": dict(type=_at_least(0), help="replication count (overrides config)"),
     "--out": dict(help="output path"),
     "--force": dict(action="store_true", help="allow overwriting existing outputs"),
-    "--threads": dict(type=int, default=1, help="worker threads (never changes results)"),
+    "--threads": dict(type=_at_least(1), default=1,
+                      help="worker threads (never changes results)"),
 }
 _FILE_FLAGS = ("--config", "--out", "--force")
 _COMMANDS = (

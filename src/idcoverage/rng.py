@@ -41,9 +41,10 @@ def run_batched(fn, total, seed, stream=0, batch=DEFAULT_BATCH, threads=1):
     one result preallocated from the first batch, so besides that result
     the run holds only the batches not yet copied: one at ``threads`` 1, and
     at most ``threads`` otherwise, since a batch is submitted only when fewer
-    than ``threads`` are submitted and not yet copied.  ``threads`` only
-    controls how many batches run concurrently, never the output.
+    than ``threads`` are submitted and not yet copied.  ``threads``, at
+    least 1, only controls how many batches run concurrently, never the output.
     """
+    threads = count(threads, "threads", least=1)
     # an empty run still makes one call, so the result keeps fn's trailing shape
     sizes = batch_sizes(total, batch) or [0]
     rngs = [child_rng(seed, stream, b) for b in range(len(sizes))]

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from idcoverage import cli, config as cfg, corr, levy, rng as rngmod
+from idcoverage import cli, config as cfg, corr, levy, onoff, rng as rngmod
 from idcoverage.errors import PreconditionError
 
 
@@ -436,6 +436,20 @@ def test_negative_flag_is_usage_error(tmp_path, monkeypatch, capsys, flag):
     assert calls == []
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_is_usage_error(tmp_path, monkeypatch, capsys, value):
+    calls = _sampler_calls(monkeypatch)
+    conf = write_config(tmp_path, "c.json", SAMPLE_CONF)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sample", "--config", conf, "--out", str(tmp_path / "out.csv"),
+                  "--threads", value])
+    assert exc.value.code == 2
+    assert (f"argument --threads: expected an integer >= 1, got {value}"
+            in capsys.readouterr().err)
+    assert calls == []
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 class TestSample:
     def test_writes_csv_with_header(self, tmp_path):
         conf = write_config(tmp_path, "c.json", SAMPLE_CONF)
@@ -572,15 +586,21 @@ _CSV_CASES = {
     "float specials": (np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1e308]]), None),
     "no rows": (np.empty((0, 3)), None),
     "one column": (np.linspace(-1.0, 1.0, 7)[:, None] / 3.0, None),
-    # a block holds _CSV_BLOCK_ELEMENTS // width whole rows
+    # a block holds _CSV_BLOCK_VALUES // width whole rows
     "block - 1 rows": (np.random.default_rng(1).normal(
-        size=(cli._CSV_BLOCK_ELEMENTS // 2 - 1, 2)), None),
+        size=(cli._CSV_BLOCK_VALUES // 2 - 1, 2)), None),
     "block rows": (np.random.default_rng(2).integers(
-        -50, 50, size=(cli._CSV_BLOCK_ELEMENTS // 3, 3)), None),
+        -50, 50, size=(cli._CSV_BLOCK_VALUES // 3, 3)), None),
     "block + 1 rows": (np.random.default_rng(3).normal(
-        size=(cli._CSV_BLOCK_ELEMENTS // 2 + 1, 2)), None),
+        size=(cli._CSV_BLOCK_VALUES // 2 + 1, 2)), None),
     "rows wider than a block": (np.random.default_rng(5).normal(
-        size=(3, cli._CSV_BLOCK_ELEMENTS + 1)), None),
+        size=(3, cli._CSV_BLOCK_VALUES + 1)), None),
+    # column-major, as CoverageProcess.sample returns its draws: in blocks,
+    # and in one block that is the whole array
+    "column-major floats": (np.asfortranarray(np.random.default_rng(15).normal(
+        size=(cli._CSV_BLOCK_VALUES // 7 * 3 + 1, 7))), None),
+    "column-major int64": (np.asfortranarray(np.random.default_rng(16).integers(
+        -10**12, 10**12, size=(cli._CSV_BLOCK_VALUES // 5, 5))), None),
     "custom header": (np.random.default_rng(4).normal(size=(5, 4)), "n,sup,l2,analytic_bias"),
 }
 
@@ -612,17 +632,19 @@ def test_float_csv_calls_python_only_outside_fixed_notation(tmp_path, monkeypatc
 
 
 def test_write_csv_memory_does_not_grow_with_width(tmp_path):
-    """15,000 x 50 floats: the float kernel holds the temporaries of one
-    block of _CSV_FLOAT_BLOCK values, about 2 MB, not the text of the
-    whole array (14 MB here) or of a block of whole rows."""
+    """15,000 x 50 floats, row-major and column-major: the float kernel
+    holds the temporaries of one block of at most _CSV_BLOCK_VALUES values,
+    about 2 MB, not the text of the whole array (14 MB here) or a row-major
+    copy of it (6 MB)."""
     arr = np.random.default_rng(6).normal(size=(15_000, 50))
-    tracemalloc.start()
-    try:
-        cli._write_csv(str(tmp_path / "wide.csv"), arr, force=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    for layout in (arr, np.asfortranarray(arr)):
+        tracemalloc.start()
+        try:
+            cli._write_csv(str(tmp_path / "wide.csv"), layout, force=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 _GRID4 = [0.0, 0.5, 1.0, 2.0]
@@ -989,6 +1011,17 @@ class TestCheckArrayAndConvergence:
         assert "conv.csv" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_zero_reps_refused_before_study(self, tmp_path, monkeypatch, capsys, flag):
+        calls = _sampler_calls(monkeypatch)
+        monkeypatch.setattr(onoff, "convergence_study", lambda *a, **k: calls.append(a))
+        conf = write_config(tmp_path, "c.json", dict(ASSUMPTION_CONF, reps=200 if flag else 0))
+        argv = ["convergence", "--config", conf, "--out", str(tmp_path / "conv.json")]
+        assert cli.main(argv + (["--reps", "0"] if flag else [])) == 2
+        assert "convergence needs reps >= 1, got 0" in capsys.readouterr().err
+        assert calls == []
+        assert os.listdir(tmp_path) == ["c.json"]
+
 ASSUMPTION_CONF = {
     "array": {"kind": "power_example", "mu": 1.0, "alpha": 0.5, "b": 0.5},
     "measure": {"kind": "reciprocal", "b": 0.5},
@@ -1042,6 +1075,27 @@ def test_power_example_error_names_the_config_field(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "config error: array: alpha must be finite and in (0, 1), got 1.5" in err
     assert "alpha_exp" not in err
+    assert calls == []
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("command, field", [
+    ("simulate-onoff", "n"), ("check-array", "n_list"), ("convergence", "n_list"),
+])
+def test_row_the_explicit_array_lacks_refused_before_work(tmp_path, monkeypatch, capsys,
+                                                          command, field):
+    """An explicit array builds only the rows it lists: asking for another
+    exits 2 naming the field, before any row is drawn or checked."""
+    calls = _sampler_calls(monkeypatch)
+    for name in ("check_assumptions", "convergence_study"):
+        monkeypatch.setattr(onoff, name, lambda *a, **k: calls.append(a))
+    array = {"kind": "explicit", "mu": 1.0, "rows": {"2": [[0.1, 1.0], [0.2, 0.5]]}}
+    conf = write_config(tmp_path, "c.json",
+                        dict(ASSUMPTION_CONF, array=array, n=3, n_list=[2, 3]))
+    out = str(tmp_path / ("rows.csv" if command == "simulate-onoff" else "out.json"))
+    assert cli.main([command, "--config", conf, "--out", out]) == 2
+    assert (f"config error: {field}: row 3 is not defined in the explicit array"
+            in capsys.readouterr().err)
     assert calls == []
     assert os.listdir(tmp_path) == ["c.json"]
 

@@ -30,6 +30,12 @@ def test_run_batched_single_batch_is_fn_result():
     assert len(made) == 1 and np.shares_memory(out, made[0])
 
 
+@pytest.mark.parametrize("threads", [0, -3, True])
+def test_run_batched_needs_one_thread_or_more(threads):
+    with pytest.raises(PreconditionError, match="^threads: expected an integer >= 1"):
+        rngmod.run_batched(_rows, 4, 7, batch=2, threads=threads)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_batched_stitches_batches_in_order(threads):
     out = rngmod.run_batched(_rows, 250, 7, batch=100, threads=threads)
