@@ -17,12 +17,12 @@ the row's empirical jump measure.
 
 Skeleton sampling is exact either way it runs.  In the rows that matter
 pi -> 0, so a row whose largest pi is at most _SPARSE_MAX_PI keeps only its
-ON set: the start and each gap's OFF -> ON switches are placed by geometric
-skipping at the row's largest chance and thinned to each source's own, and
-ON sources stay with one uniform each; the cost per rep and epoch is
-O(n max p01 + |ON|).  Other rows draw one uniform per source, epoch and
-rep.  The constant is the measured crossover of the two paths; the choice
-depends only on the row's rates, never on reps, batch or threads, and
+ON set, placed by geometric skipping.  Over a gap d every OFF -> ON
+candidate, drawn at p01 for each source, is ON, and so is each ON source
+kept with chance q = e^{-a d} / (1 - p01), so that it stays ON with
+p01 + (1 - p01) q = p11; the cost per rep and epoch is O(n max p01 + |ON|).
+Other rows draw one uniform per source, epoch and rep.  The choice depends
+only on the row's rates, never on reps, batch or threads, and
 OnOffSource.simulate_path takes it too, as a one-source row.
 """
 
@@ -36,9 +36,11 @@ from .errors import BoundViolationError, PreconditionError, count, finite
 
 _BLOCK_ELEMENTS = 5_000_000
 _SUBSET_CAP = 12
-# rows with max pi at most this draw sparsely (_sparse_row_paths); the
-# measured crossover of the two paths lies between 0.13 and 0.16
-_SPARSE_MAX_PI = 0.15
+# rows with max pi at most this draw sparsely (_sparse_row_paths); below 1/3,
+# where rng.geometric stops inverting.  Sparse/dense time of a 5e6-state block
+# (n = 1000) at pi = 0.1 to 0.3 by 0.05: 0.52 0.71 0.84 1.02 1.25 on epochs
+# [0, 1], 0.28 0.45 0.67 0.84 1.08 on [0, 0.5, 1, 2] (2 cores, numpy 2.4.6)
+_SPARSE_MAX_PI = 0.2
 
 
 def _on_probs(lam, mu, gap):
@@ -51,6 +53,14 @@ def _on_probs(lam, mu, gap):
     pi = lam / alpha
     decay = np.exp(-alpha * gap)
     return pi * (1.0 - decay), pi + (1.0 - pi) * decay
+
+
+def _union_probs(lam, mu, gap):
+    """(p01, q) over a gap for the sparse path's union rule (module docstring)."""
+    alpha = lam + mu
+    decay = np.exp(-alpha * gap)
+    p01 = lam / alpha * (1.0 - decay)
+    return p01, decay / (1.0 - p01)
 
 
 def row_batch(n):
@@ -79,50 +89,56 @@ def _row_paths(lam, mu, r, t, rng, reps):
     return out
 
 
-def _bernoulli_set(p, size, rng):
-    """Sorted flat positions in [0, size) that are each present independently,
-    position f with chance p[f % len(p)].
+def _bernoulli_set(p, size, rng, index):
+    """Sorted flat positions in [0, size), of integer dtype index, each present
+    independently, position f with chance p[f % len(p)]; max(p) < 1/3.
 
     Geometric skipping at max(p) (Batagelj & Brandes, Phys. Rev. E 71, 2005)
     proposes positions; each proposal is kept with chance p / max(p), one
-    uniform each, unless p is constant (Devroye 1986, thinning).
+    uniform each, unless p is constant (Devroye 1986, thinning).  The gaps
+    ceil(E / -log1p(-max p)), E standard exponential, are rng.geometric's
+    draws bit for bit (numpy's inversion for p < 1/3).  Clamped at size + 1,
+    which ends the set from any start, and summed in float64, exact below
+    2^53, they never wrap.
     """
     top = p.max()
-    parts, last = [np.empty(0, dtype=np.int64)], -1
-    while last < size - 1:
+    parts, last, scale = [np.empty(0, dtype=index)], -1.0, -np.log1p(-top)
+    while top > 0.0 and last < size - 1:    # no set at p = 0 (p01 over a vanishing gap)
         expect = (size - 1 - last) * top
         # 4 standard deviations over the expected count: one draw nearly always ends the loop
-        gaps = rng.geometric(top, int(expect + 4.0 * np.sqrt(expect)) + 16)
-        parts.append(last + np.cumsum(gaps))
-        last = parts[-1][-1]
+        gaps = np.ceil(rng.standard_exponential(int(expect + 4.0 * np.sqrt(expect)) + 16) / scale)
+        pos = last + np.cumsum(np.minimum(gaps, size + 1))
+        parts.append(pos[:np.searchsorted(pos, size)].astype(index))
+        last = pos[-1]
     pos = np.concatenate(parts)
-    pos = pos[:np.searchsorted(pos, size)]
-    if p.min() < top:
-        pos = pos[rng.random(pos.size) * top < p[pos % p.size]]
+    if p.min() < top:     # compress and take: faster than a mask or an int32 index
+        pos = pos.compress(rng.random(pos.size) * top < p.take(pos % p.size))
     return pos
 
 
 def _sparse_row_paths(pi, lam, mu, r, t, rng, reps):
     """_row_paths for rows where few sources are ON, same law.
 
-    The block keeps only its ON set, sorted flat indices rep * n + j.  The
-    start set is _bernoulli_set at pi.  Over each gap every ON position
-    stays with chance p11 (one uniform each), and OFF -> ON candidates
-    are _bernoulli_set at p01; a candidate that is already ON is dropped.
-    Cost per rep and epoch is O(n max p01 + |ON|), not O(n).
+    The block keeps only its ON set, sorted flat indices rep * n + j, int32
+    when reps * n fits.  The start set is _bernoulli_set at pi.  Over a gap
+    each ON position is kept with chance q = e^{-a gap} / (1 - p01), one
+    uniform each, every _bernoulli_set candidate at p01 is ON, and the new
+    set is the sorted merge of the two with repeats dropped.
     """
     n = r.size
+    index = np.int32 if reps * n <= np.iinfo(np.int32).max else np.int64
     out = np.empty((reps, t.size))
-    on = _bernoulli_set(pi, reps * n, rng)
+    on = _bernoulli_set(pi, reps * n, rng, index)
     for k in range(t.size):
         if k:
-            p01, p11 = _on_probs(lam, mu, t[k] - t[k - 1])
-            stay = on[rng.random(on.size) < p11[on % n]]
-            fresh = _bernoulli_set(p01, reps * n, rng)
-            hit = np.searchsorted(on, fresh)
-            fresh = fresh[on[np.minimum(hit, on.size - 1)] != fresh] if on.size else fresh
-            on = np.sort(np.concatenate([stay, fresh]))
-        out[:, k] = np.bincount(on // n, weights=r[on % n], minlength=reps)
+            p01, q = _union_probs(lam, mu, t[k] - t[k - 1])
+            on = np.sort(np.concatenate([on.compress(rng.random(on.size) < q.take(src)),
+                                         _bernoulli_set(p01, reps * n, rng, index)]))
+            # a kept position that was also drawn as a candidate appears twice
+            on = on.compress(np.r_[True, on[1:] != on[:-1]][:on.size])
+        rep = on // n
+        src = on - rep * n
+        out[:, k] = np.bincount(rep, weights=r.take(src), minlength=reps)
     return out
 
 
@@ -203,10 +219,8 @@ class OnOffArraySpec:
         """(lam, r) parameter vectors for row n."""
         n = int(n)
         if self.kind == "power_example":
-            lam = np.full(n, float(n) ** (-self.alpha_exp))
-            j = np.arange(1, n + 1)
-            r = self.b ** (j * float(n) ** (-self.alpha_exp))
-            return lam, r
+            lam = float(n) ** (-self.alpha_exp)
+            return np.full(n, lam), self.b ** (np.arange(1, n + 1) * lam)
         if n not in self.rows:
             raise PreconditionError(f"row {n} not defined in explicit spec")
         return self.rows[n]
@@ -239,15 +253,15 @@ def row_measure(spec, n):
 
 # ---- superposition sampling and exact row CFs --------------------------
 
-def superpose(spec, n, grid, rng, reps=None):
+def superpose(spec, n, grid, rng, reps=None, *, row=None):
     """Row sums X_n(t_k) = sum_j zeta_nj(t_k) over independent sources.
 
     Exact skeleton sampling per source in blocks of row_batch(n) reps,
-    sparse (ON sets by geometric skipping and thinning) when the row's
-    largest pi is at most _SPARSE_MAX_PI and dense otherwise; (len(grid),)
-    for reps=None else (reps, len(grid)).
+    sparse (ON sets only) when the row's largest pi is at most
+    _SPARSE_MAX_PI and dense otherwise; (len(grid),) for reps=None else
+    (reps, len(grid)).  row, if given, is spec.row(n) already looked up.
     """
-    lam, r = spec.row(n)
+    lam, r = spec.row(n) if row is None else row
     t = corr.as_grid(grid).t
     total = 1 if reps is None else count(reps, "reps")
     block = row_batch(n)
@@ -376,14 +390,16 @@ def check_assumptions(spec, n_list, x_probe, eps_list, nu, rtol_tail=0.02):
     max_lam = [float(m.lam.max()) for m in rows]
     small_jump = {e: [m.small_jump_first_moment(e) for m in rows] for e in eps_list}
     moment_sums = {p: [m.moment(p) for m in rows] for p in (1, 2, 3, 4)}
-    tails = {x: [m.tail(x) for m in rows] for x in x_probe}
-    fm_tails = {x: [m.first_moment_tail(x) for m in rows] for x in x_probe}
-    nu_tail = {x: nu.tail(x) for x in x_probe}
-    nu_fm_tail = {x: nu.first_moment_tail(x) for x in x_probe}
     nu_moments = {q: nu.moment(q) for q in (1, 2)}
 
-    def _rel(obs, ref):
-        return abs(obs - ref) / max(abs(ref), 1e-300)
+    def _tails(name):
+        """A4 (tail) or A6 (first_moment_tail): each row and the limit at the
+        probes, and the last row's relative error."""
+        got = {x: [getattr(m, name)(x) for m in rows] for x in x_probe}
+        limit = {x: getattr(nu, name)(x) for x in x_probe}
+        rel = {x: abs(got[x][-1] - limit[x]) / max(abs(limit[x]), 1e-300) for x in x_probe}
+        return {"x": x_probe, "rows": got, "limit": limit, "rel_err": rel,
+                "pass": all(v <= rtol_tail for v in rel.values())}
 
     report = {
         "n": n_list,
@@ -408,25 +424,13 @@ def check_assumptions(spec, n_list, x_probe, eps_list, nu, rtol_tail=0.02):
             "sums": moment_sums,
             "pass": all(np.isfinite(max(v)) for v in moment_sums.values()),
         },
-        "A4": {
-            "x": x_probe,
-            "rows": tails,
-            "limit": nu_tail,
-            "rel_err": {x: _rel(tails[x][-1], nu_tail[x]) for x in x_probe},
-        },
+        "A4": _tails("tail"),
         "A5": {
             "moments": nu_moments,
             "pass": all(np.isfinite(v) for v in nu_moments.values()),
         },
-        "A6": {
-            "x": x_probe,
-            "rows": fm_tails,
-            "limit": nu_fm_tail,
-            "rel_err": {x: _rel(fm_tails[x][-1], nu_fm_tail[x]) for x in x_probe},
-        },
+        "A6": _tails("first_moment_tail"),
     }
-    report["A4"]["pass"] = all(v <= rtol_tail for v in report["A4"]["rel_err"].values())
-    report["A6"]["pass"] = all(v <= rtol_tail for v in report["A6"]["rel_err"].values())
     if report["A1"]["pass"] is None:
         report["A1"]["note"] = "one row size cannot show a decreasing largest rate"
     report["pass"] = all(report[k]["pass"] for k in ("A1", "A2", "A3", "A4", "A5", "A6")
@@ -445,15 +449,16 @@ def convergence_study(spec, nu, mu, grid, theta_vectors, n_list, n_reps, seed,
     no Monte Carlo in it) so sampling noise and true bias can be told
     apart.  The Monte-Carlo allowance 4/sqrt(N) is included.
     """
+    # every row is looked up once, before the first draw, and handed to its batches
+    params = [(int(n), spec.row(n)) for n in n_list]
     theta_vectors = np.asarray(theta_vectors, dtype=float)
     limit_vals = np.exp(espc_log_cf(nu, mu, grid, theta_vectors))
     rows = []
-    for idx, n in enumerate(n_list):
-        n = int(n)
+    for idx, (n, row) in enumerate(params):
         exact_vals = np.exp(row_joint_log_cf(spec, n, grid, theta_vectors))
         bias = float(np.abs(exact_vals - limit_vals).max())
         samples = rngmod.run_batched(
-            lambda rng, count, _n=n: superpose(spec, _n, grid, rng, reps=count),
+            lambda rng, count, _n=n, _row=row: superpose(spec, _n, grid, rng, count, row=_row),
             n_reps, seed, stream=idx, batch=row_batch(n), threads=threads,
         )
         emp = stats.empirical_cf(samples, theta_vectors)
@@ -511,18 +516,13 @@ def increment_bound_check(src, t_triples, n_reps, rng):
         path = src.simulate_path((u, t, s), rng, size=n_reps)
         d1 = path[:, 1] - path[:, 0]
         d2 = path[:, 2] - path[:, 1]
-        mc = {}
-        for name, vals in (
-            ("product_sq", d1**2 * d2**2),
-            ("cross_abs", -d1 * d2),   # closed form of E[(z_u-z_t)(z_t-z_s)] is +q2
-            ("increment_sq", d1**2),
-        ):
-            est = float(vals.mean())
-            se = float(vals.std(ddof=1) / np.sqrt(n_reps))
-            mc[name] = (est, se)
+        vals = {"product_sq": d1**2 * d2**2,
+                "cross_abs": -d1 * d2,   # closed form of E[(z_u-z_t)(z_t-z_s)] is +q2
+                "increment_sq": d1**2}
         entry = {"triple": (u, t, s)}
         for name, (closed, bound) in forms.items():
-            est, se = mc[name]
+            est = float(vals[name].mean())
+            se = float(vals[name].std(ddof=1) / np.sqrt(n_reps))
             entry[name] = {"closed": closed, "bound": bound, "mc": est, "stderr": se}
             if closed > bound + 1e-12:
                 raise BoundViolationError(

@@ -316,6 +316,30 @@ class TestRowCfAndSuperposition:
         for r in rows:
             assert abs(r["sup"] - r["analytic_bias"]) <= allowance
 
+    def test_convergence_study_refuses_missing_row_before_any_draw(self, monkeypatch):
+        spec = onoff.OnOffArraySpec("explicit", mu=1.0, rows={2: [(0.1, 1.0), (0.2, 0.5)]})
+        drawn = []
+        monkeypatch.setattr(onoff, "superpose", lambda *a, **k: drawn.append(a))
+        with pytest.raises(PreconditionError, match="row 3 not defined"):
+            onoff.convergence_study(spec, levy.reciprocal_measure(0.5), 1.0,
+                                    corr.TimeGrid([0.0, 1.0]), np.eye(2), [2, 3], 200_000,
+                                    seed=1)
+        assert drawn == []
+
+    def test_convergence_study_hands_each_row_to_its_batches(self, monkeypatch):
+        # four batches per row, yet each row is derived once for the draws
+        # and once for the exact CF
+        monkeypatch.setattr(rngmod, "DEFAULT_BATCH", 50)
+        looked_up = []
+        row = onoff.OnOffArraySpec.row
+        monkeypatch.setattr(onoff.OnOffArraySpec, "row",
+                            lambda spec, n: looked_up.append(n) or row(spec, n))
+        rep = onoff.convergence_study(self.spec, levy.reciprocal_measure(0.5), 1.0,
+                                      corr.TimeGrid([0.0, 1.0]), np.eye(2), [50, 200], 200,
+                                      seed=2)
+        assert [r["n"] for r in rep["rows"]] == [50, 200]
+        assert sorted(looked_up) == [50, 50, 200, 200]
+
 
 def reference_chain_log_cf(lam, mu, r, t, thetas):
     """The forward pass over every (theta row, source) pair at once: an
@@ -472,9 +496,9 @@ def reference_sparse_superpose(lam, mu, r, t, rng, total, block):
         for k in range(t.size):
             if k:
                 decay = np.exp(-(lam + mu) * (t[k] - t[k - 1]))
-                p11, old = pi + (1 - pi) * decay, sorted(on)
-                on = {f for f, u in zip(old, rng.random(len(old))) if u < p11[f % n]}
-                on |= set(reference_bernoulli_set(pi * (1 - decay), size, rng)) - set(old)
+                q, old = decay / (1 - pi * (1 - decay)), sorted(on)
+                on = {f for f, u in zip(old, rng.random(len(old))) if u < q[f % n]}
+                on |= set(reference_bernoulli_set(pi * (1 - decay), size, rng))
             for f in sorted(on):
                 out[lo + f // n, k] += r[f % n]
     return out
@@ -567,6 +591,33 @@ class TestSparsePath:
             assert after[start].mean() == pytest.approx(
                 p, abs=4 * np.sqrt(p * (1 - p) / count))
 
+    def test_one_gap_transition_frequencies_at_two_rates(self):
+        # q = e^{-a gap} / (1 - p01) differs between the sources; marks 1 and
+        # 2 tell from the row sum which source is ON
+        (lam1, lam2), mu, gap, reps = (0.15, 0.03), 1.0, 0.7, 400_000
+        spec = onoff.OnOffArraySpec("explicit", mu=mu, rows={2: [(lam1, 1.0), (lam2, 2.0)]})
+        assert (np.array([lam1, lam2]) / (np.array([lam1, lam2]) + mu)).max() \
+            <= onoff._SPARSE_MAX_PI
+        x = onoff.superpose(spec, 2, corr.TimeGrid([0.0, gap]), child_rng(715),
+                            reps=reps).astype(int)
+        for lam, bit in ((lam1, 1), (lam2, 2)):
+            before, after = (x[:, 0] & bit) > 0, (x[:, 1] & bit) > 0
+            p01, p11 = onoff.OnOffSource(lam, mu, 1.0).transition_matrix(gap)[:, 1]
+            pi = lam / (lam + mu)
+            assert before.mean() == pytest.approx(pi, abs=4 * np.sqrt(pi * (1 - pi) / reps))
+            for start, p in ((before, p11), (~before, p01)):
+                count = start.sum()
+                assert after[start].mean() == pytest.approx(
+                    p, abs=4 * np.sqrt(p * (1 - p) / count))
+
+    def test_vanishing_gap_keeps_every_state(self):
+        # p01 rounds to 0, so no candidate is drawn and q = 1 keeps every ON source
+        src = onoff.OnOffSource(lam=0.05, mu=1.0, r=1.0)
+        x = src.simulate_path([0.0, 1e-18], child_rng(1), size=1000)
+        assert x[:, 0].sum() > 0
+        assert np.array_equal(x[:, 0], x[:, 1])
+        assert src.simulate_path([0.0, 1e-18], child_rng(1), size=10).shape == (10, 2)
+
     def test_two_rate_row_matches_row_cf(self):
         # sources at two rates, so each proposal is thinned to its own rate
         spec = sparse_row(0.15, n=200)
@@ -602,6 +653,56 @@ class TestSparsePath:
             for l, m, rr in zip(lam, mu, r)))
         sup, _ = stats.cf_distance(stats.empirical_cf(x, thetas), exact)
         assert sup <= 4.0 / np.sqrt(reps)
+
+
+class TestBernoulliSet:
+    """_bernoulli_set draws rng.geometric's gaps by numpy's own inversion, and
+    the union rule keeps each source's one-gap law."""
+
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    @pytest.mark.parametrize("top", [1e-9, 1e-3, 0.0099, 0.15, 0.2])
+    def test_matches_geometric_reference(self, top, index):
+        size = min(int(20_000 / top), np.iinfo(index).max)
+        # one rate, and three rates so that proposals are thinned
+        for p in (np.array([top]), np.array([top / 4, top, top / 2])):
+            rng, twin = child_rng(721), child_rng(721)
+            got = onoff._bernoulli_set(p, size, rng, index)
+            assert got.dtype == index
+            assert np.array_equal(got, reference_bernoulli_set(p, size, twin))
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_sparse_rows_stay_where_geometric_inverts(self):
+        # rng.geometric draws by inversion only below p = 1/3; every p a
+        # sparse row hands _bernoulli_set is at most its largest pi
+        assert onoff._SPARSE_MAX_PI < 1 / 3
+
+    @pytest.mark.parametrize("p, size, index", [(1e-12, 2**30 - 1, np.int32),
+                                                (1e-9, 2**33, np.int64)])
+    def test_gaps_past_size_never_wrap(self, p, size, index):
+        # most gaps reach size; their running sum passes 2^31 (2^33 at the
+        # second case) and must not wrap into [0, size)
+        rng, twin = child_rng(722), child_rng(722)
+        got = onoff._bernoulli_set(np.array([p]), size, rng, index)
+        assert got.dtype == index
+        assert (got >= 0).all() and (got < size).all() and (np.diff(got) > 0).all()
+        assert np.array_equal(got, reference_bernoulli_set(np.array([p]), size, twin))
+        # one chunk: 16 draws plus the expected count and 4 standard deviations
+        expect = size * p
+        draws = int(expect + 4.0 * np.sqrt(expect)) + 16
+        assert draws <= 40
+        twin = child_rng(722)
+        twin.standard_exponential(draws)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_union_rule_keeps_p11(self):
+        # no sampling: kept with chance q or switched on at p01 is ON with p11
+        lam, mu, gap = np.meshgrid([1e-9, 1e-4, 0.01, 0.05, 0.17], [0.05, 1.0, 7.0],
+                                   [0.0, 1e-18, 1e-9, 0.01, 1.0, 40.0])
+        p01, q = onoff._union_probs(lam, mu, gap)
+        want01, p11 = onoff._on_probs(lam, mu, gap)
+        np.testing.assert_allclose(p01, want01, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(p01 + (1 - p01) * q, p11, rtol=0, atol=1e-15)
+        assert (q >= 0).all() and (q <= 1 + 1e-15).all()
 
 
 class TestIncrementBounds:
