@@ -19,7 +19,6 @@ from . import corr, fidi, mginf, onoff, rng as rngmod, stats, verify
 from .errors import BoundViolationError, PreconditionError, count, finite
 
 _DEFAULT_THETA = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
-_DEFAULT_THETA_MAX_EPOCHS = 6   # 6^6 = 46,656 default theta vectors
 # values per block of whole rows that _write_csv formats at once: the float
 # kernel's temporaries take about 250 bytes a value, so about 2 MB
 _CSV_BLOCK_VALUES = 2**13
@@ -296,15 +295,11 @@ def _write_csv(path, arr, force, header=None):
 
 
 def _thetas(conf, n):
-    """Theta vectors from the config, else the default product grid on
-    up to _DEFAULT_THETA_MAX_EPOCHS epochs.  Call before sampling."""
-    if "thetas" in conf or "theta_grid" in conf:
-        return cfg.thetas_from_config(conf, n)
-    if n > _DEFAULT_THETA_MAX_EPOCHS:
-        raise CliError(
-            f"the default theta grid would hold {len(_DEFAULT_THETA)}^{n} vectors "
-            f"on {n} epochs; set theta_grid or thetas in the config")
-    return stats.theta_product_grid([_DEFAULT_THETA] * n)
+    """Theta vectors from the config, else the product grid of _DEFAULT_THETA,
+    under the same cap as a configured theta_grid.  Call before sampling."""
+    if "thetas" not in conf and "theta_grid" not in conf:
+        conf = {"theta_grid": _DEFAULT_THETA}
+    return cfg.thetas_from_config(conf, n)
 
 
 def _check_rows(spec, field, ns):

@@ -7,11 +7,14 @@ refused.  Errors name the field by its dotted path in the file.
 """
 
 import inspect
+import math
 
 import numpy as np
 
 from . import corr, levy, onoff, stats
 from .errors import PreconditionError, finite
+
+_MAX_PRODUCT_THETAS = 6**6  # the default theta grid's six values on six epochs
 
 
 class ConfigError(ValueError):
@@ -148,7 +151,8 @@ def _finite_values(values, loc, name):
 def thetas_from_config(d, n, path=""):
     """Explicit theta vectors under "thetas", or a per-coordinate product
     grid under "theta_grid" (a single list is broadcast to all coordinates).
-    Every value must be a finite number; a bool or a numeric string is not."""
+    Every value must be a finite number; a bool or a numeric string is not.
+    A product of over _MAX_PRODUCT_THETAS vectors is refused unbuilt."""
     if "thetas" not in d and "theta_grid" not in d:
         raise ConfigError(f"{path}thetas/theta_grid: one of the two is required")
     field = "thetas" if "thetas" in d else "theta_grid"
@@ -166,6 +170,10 @@ def thetas_from_config(d, n, path=""):
     if field == "theta_grid":
         if len(lists) != n:
             raise ConfigError(f"{loc}: need one coordinate grid per epoch ({n})")
+        total = math.prod(v.size for v in lists)
+        if total > _MAX_PRODUCT_THETAS:
+            raise ConfigError(f"{loc}: the product grid would hold {total:,} theta vectors, "
+                              f"more than {_MAX_PRODUCT_THETAS:,}; set thetas or a smaller grid")
         return stats.theta_product_grid(lists)
     if any(v.size != n for v in lists):
         raise ConfigError(f"{loc}: each theta vector must have length {n}")

@@ -270,18 +270,19 @@ def b_to_a(b, grid=None):
     return WeightMatrix(grid=grid, a=a)
 
 
-def block_spans(theta, n):
-    """Sums theta_i + ... + theta_j over every contiguous block i <= j.
+def block_spans(theta, a):
+    """Sums theta_i + ... + theta_j over the blocks i <= j that carry weight.
 
-    ``theta`` is one vector (n,) or a stack (M, n).  Returns
-    ``(single, (ii, jj), spans)``: whether theta was one vector, the
-    ``np.triu_indices(n)`` block indices, and the (M, n(n+1)/2) spans in
-    that block order.
+    ``theta`` is one vector (n,) or a stack (M, n), and ``a`` an (n, n)
+    upper-triangular weight array.  A block of weight zero is no ray of the
+    Levy measure, so it is left out.  Returns ``(single, weights, spans)``:
+    whether theta was one vector, the nonzero entries of ``a`` in row-major
+    (i, j) order, and the (M, blocks) spans in that order.
     """
     theta = np.asarray(theta, dtype=float)
     th = np.atleast_2d(theta)
-    if th.shape[1] != n:
+    if th.shape[1] != a.shape[0]:
         raise PreconditionError("theta length must match the grid")
     prefix = np.concatenate([np.zeros((th.shape[0], 1)), np.cumsum(th, axis=1)], axis=1)
-    ii, jj = np.triu_indices(n)
-    return theta.ndim == 1, (ii, jj), prefix[:, jj + 1] - prefix[:, ii]
+    ii, jj = np.nonzero(a)
+    return theta.ndim == 1, a[ii, jj], prefix[:, jj + 1] - prefix[:, ii]

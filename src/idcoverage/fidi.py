@@ -11,10 +11,11 @@ over the rectangle weights of H.  Because the weights across any column sum
 to one, every marginal is exactly the time-1 law, whatever the grid; and
 because each weight is nonnegative, the joint law is itself infinitely
 divisible, with an explicit drift vector, Gaussian matrix and a Levy measure
-supported on the rays of "contiguous block" indicator vectors u_{ij}.  That
-ray decomposition is also an exact sampling recipe: draw one independent
-increment of the law with time parameter a[i,j] per block and add it to the
-coordinates the block covers.
+supported on the rays of "contiguous block" indicator vectors u_{ij} whose
+weight a[i,j] is positive.  That ray decomposition is also an exact sampling
+recipe: draw one independent increment of the law with time parameter
+a[i,j] per ray and add it to the coordinates the block covers.  A block of
+weight zero is no ray: the CF, the triplet and the sampler all skip it.
 """
 
 from dataclasses import dataclass, field
@@ -56,9 +57,8 @@ class CoverageProcess:
         ``theta`` may be a single vector of length n or a stack (M, n);
         returns complex scalar or (M,) respectively.
         """
-        w = corr.weights(self.structure, grid)
-        single, (ii, jj), spans = corr.block_spans(theta, w.n)
-        out = np.atleast_2d(self.law.eval(spans)) @ w.a[ii, jj]
+        single, weights, spans = corr.block_spans(theta, corr.weights(self.structure, grid).a)
+        out = np.atleast_2d(self.law.eval(spans)) @ weights
         return complex(out[0]) if single else np.asarray(out)
 
     def cf(self, grid, theta):
@@ -87,13 +87,9 @@ class CoverageProcess:
         diff = self.law.sigma2 if self.law.kind == "gaussian" else 0.0
         beta_vec = np.array([drift * w.column_mass(k) for k in range(n)])
         sigma = diff * corr.a_to_b(w)
-        rays = []
-        for i in range(n):
-            for j in range(i, n):
-                if w.a[i, j] > 0.0:
-                    u = np.zeros(n, dtype=int)
-                    u[i : j + 1] = 1
-                    rays.append((u, float(w.a[i, j])))
+        k = np.arange(n)
+        rays = [(((k >= i) & (k <= j)).astype(int), float(w.a[i, j]))
+                for i, j in zip(*np.nonzero(w.a))]
         return FidiTriplet(beta=beta_vec, sigma=sigma, rays=rays)
 
     # -- exact sampling ---------------------------------------------------
@@ -101,19 +97,19 @@ class CoverageProcess:
     def sample(self, grid, rng, size=None):
         """Exact draw of (X_{t_1}, ..., X_{t_n}); (n,) or (size, n).
 
-        One increment per block, drawn in (i, j) order.  Each is added at
-        row i and removed at row j+1 of a difference array, whose running
-        sum over rows is the sample: O(size * n^2) work in all.
+        One increment per block of positive weight, in row-major (i, j)
+        order; a zero-weight block draws nothing.  Each is added at row i
+        and removed at row j+1 of a difference array, whose running sum
+        over rows is the sample: O(size * n^2) work at most.
         """
         w = corr.weights(self.structure, grid)
         n = w.n
         m = 1 if size is None else count(size, "size")
         diff = np.zeros((n + 1, m))
-        for i in range(n):
-            for j in range(i, n):
-                z = self.law.sample_increment(w.a[i, j], rng, size=(m,))
-                diff[i] += z
-                diff[j + 1] -= z
+        for i, j in zip(*np.nonzero(w.a)):
+            z = self.law.sample_increment(w.a[i, j], rng, size=(m,))
+            diff[i] += z
+            diff[j + 1] -= z
         out = np.cumsum(diff[:n], axis=0, out=diff[:n])
         return out[:, 0] if size is None else out.T
 
@@ -121,7 +117,7 @@ class CoverageProcess:
 
     def covariance(self, h):
         """Cov(X_t, X_{t+h}) = variance * (1 - H(|h|))."""
-        return self.law.variance() * (1.0 - self.structure.eval(abs(h)))
+        return self.law.variance() * (1.0 - self.structure.eval(abs(finite(h, "h"))))
 
     def increment_cf(self, h, theta):
         """CF of X_{t+h} - X_t: exp(H(h) * (psi(theta) + psi(-theta)))."""
@@ -142,6 +138,7 @@ class CoverageProcess:
         and (a0+a1)(a0+a2) = 4 H(d1) H(d2), so for Gaussian laws this is the
         familiar pair-product expansion of a fourth moment.
         """
+        t1, t2, t3 = map(finite, (t1, t2, t3), ("t1", "t2", "t3"))
         if not t1 < t2 < t3:
             raise PreconditionError("need t1 < t2 < t3")
         if self.law.mean() != 0.0:

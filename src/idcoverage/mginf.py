@@ -57,9 +57,8 @@ class MGInfinityModel:
 
     def log_cf(self, grid, theta):
         """Joint log CF: sum over blocks of mu(A[i,j]) (chi(span) - 1)."""
-        single, (ii, jj), spans = block_spans(theta, len(grid))
-        mu = self.mu_rect(grid)
-        vals = (np.atleast_2d(self.mark_cf(spans)) - 1.0) @ mu[ii, jj]
+        single, mu, spans = block_spans(theta, self.mu_rect(grid))
+        vals = (np.atleast_2d(self.mark_cf(spans)) - 1.0) @ mu
         return complex(vals[0]) if single else np.asarray(vals)
 
     def simulate(self, grid, rng, size=None):
@@ -75,8 +74,8 @@ class MGInfinityModel:
         Each customer is kept as its owner (an index into the reps) and the
         first epoch it covers and the first it no longer covers, both indices
         into the grid in the smallest integer dtype that holds n, so besides
-        the output and the marks the draw holds 8 + 2 bytes per customer and
-        the float times of one cohort while they are located on the grid.
+        the output and the marks the draw keeps 8 + 2 bytes per customer.
+        Locating and counting them peaks at about 24 bytes per customer.
         """
         t = as_grid(grid).t
         n = t.size

@@ -489,6 +489,7 @@ def _pair_square(lam, mu, r, d):
 
 def increment_moment_forms(src, u, t, s):
     """Closed forms and bounds for the three two-increment moments."""
+    u, t, s = map(finite, (u, t, s), ("u", "t", "s"))
     if not u < t < s:
         raise PreconditionError("need u < t < s")
     d1, d2 = t - u, s - t
@@ -579,8 +580,7 @@ def algebraic_identity_check(m, theta, grid, alpha_rate, r):
         for sub in combinations(range(m), k):
             lhs += np.exp(-alpha_rate * (t[sub[-1]] - t[sub[0]])) * np.prod(f[list(sub)])
 
-    _, (ii, jj), spans = corr.block_spans(theta, m)
-    weights = espc_weights(alpha_rate, t)[ii, jj]
+    _, weights, spans = corr.block_spans(theta, espc_weights(alpha_rate, t))
     rhs = np.sum((np.exp(1j * r * spans[0]) - 1.0) * weights) - f.sum()
     return complex(lhs), complex(rhs)
 

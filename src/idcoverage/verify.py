@@ -76,9 +76,8 @@ def check_quadratic_identity(rng):
         b = corr.a_to_b(a)
         theta = rng.normal(size=n)
         lhs = theta @ b @ theta
-        prefix = np.concatenate([[0.0], np.cumsum(theta)])
-        ii, jj = np.triu_indices(n)
-        rhs = float(((prefix[jj + 1] - prefix[ii]) ** 2) @ a[ii, jj])
+        _, weights, spans = corr.block_spans(theta, a)
+        rhs = float(spans[0] ** 2 @ weights)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
     return worst, worst <= 1e-10
 
@@ -102,9 +101,8 @@ def check_drift_identity(rng):
         grid = _random_grid(rng)
         w = corr.weights(_random_structure(rng), grid)
         theta = rng.normal(size=w.n)
-        prefix = np.concatenate([[0.0], np.cumsum(theta)])
-        ii, jj = np.triu_indices(w.n)
-        lhs = float((prefix[jj + 1] - prefix[ii]) @ w.a[ii, jj])
+        _, weights, spans = corr.block_spans(theta, w.a)
+        lhs = float(spans[0] @ weights)
         worst = max(worst, abs(lhs - theta.sum()))
     return worst, worst <= 1e-10
 

@@ -136,6 +136,16 @@ class TestOtherBuilders:
         with pytest.raises(cfg.ConfigError, match="length 2"):
             cfg.thetas_from_config({"thetas": [[1.0, 2.0, 3.0]]}, 2)
 
+    def test_product_theta_grid_cap(self):
+        # 6^6 vectors, the default grid on six epochs, is the most a product
+        # grid may hold; explicit vectors are not capped
+        assert cfg.thetas_from_config({"theta_grid": [-1.0, 1.0, 2.0] * 2}, 6).shape \
+            == (6**6, 6)
+        with pytest.raises(cfg.ConfigError, match="theta_grid: .* 117,649 theta vectors"):
+            cfg.thetas_from_config({"theta_grid": [[1.0]] + [list(range(7))] * 6}, 7)
+        many = np.zeros((6**6 + 1, 1)).tolist()
+        assert cfg.thetas_from_config({"thetas": many}, 1).shape == (6**6 + 1, 1)
+
     @pytest.mark.parametrize("bad", [[], 1.0, "ab"])
     def test_malformed_theta_grid_names_field(self, bad):
         with pytest.raises(cfg.ConfigError, match="theta_grid"):
@@ -1155,6 +1165,23 @@ def test_non_finite_or_out_of_range_number_exits_2_and_writes_nothing(
     assert cli.main([command, "--config", conf, "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {named}")
+    assert captured.out == ""
+    assert calls == []
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("command, base", [
+    ("cf-eval", SAMPLE_CONF), ("simulate-coverage", MM_CONF), ("convergence", ASSUMPTION_CONF)])
+def test_theta_grid_over_the_cap_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                            command, base):
+    # 2^50 vectors: refused from the count, before any of them is built
+    calls = _sampler_calls(monkeypatch)
+    conf = write_config(tmp_path, "c.json", dict(base, grid=_FIDI_GRID, theta_grid=[-1.0, 1.0]))
+    out = str(tmp_path / ("out.csv" if command == "simulate-coverage" else "out.json"))
+    assert cli.main([command, "--config", conf, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: theta_grid: the product grid would hold "
+                                   f"{2**50:,} theta vectors")
     assert captured.out == ""
     assert calls == []
     assert os.listdir(tmp_path) == ["c.json"]

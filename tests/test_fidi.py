@@ -215,9 +215,113 @@ def test_sampler_matches_per_block_reference(law_name):
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
 
 
+# structures that reach 1 on a grid spanning more than one time unit, so
+# blocks whose ends lie far enough apart carry weight zero
+ZERO_WEIGHT_STRUCTURES = {
+    "power": corr.power_structure(0.5),
+    "deterministic_tail": corr.integrated_tail_structure(
+        corr.ServiceDistribution.deterministic(1.0)),
+}
+ZERO_WEIGHT_GRID = corr.TimeGrid([0.0, 0.3, 1.1, 1.2, 2.5, 4.0])
+BLOCK_LAWS = {
+    "poisson": levy.poisson(1.5),
+    "gamma": levy.gamma_law(),
+    "reciprocal": levy.spectrally_positive(levy.reciprocal_measure(0.5)),
+}
+
+
+def all_blocks_sample(proc, grid, rng, size):
+    """The sampler's difference array filled from every block, zero-weight
+    ones included, each of which draws nothing and adds zeros."""
+    w = corr.weights(proc.structure, grid)
+    diff = np.zeros((w.n + 1, size))
+    for i in range(w.n):
+        for j in range(i, w.n):
+            z = proc.law.sample_increment(w.a[i, j], rng, size=(size,))
+            diff[i] += z
+            diff[j + 1] -= z
+    return np.cumsum(diff[:w.n], axis=0).T
+
+
+def all_blocks_log_cf(eval_law, a, theta):
+    """sum over every block i <= j of eval_law(span) * a[i,j], zeros included."""
+    prefix = np.concatenate([[0.0], np.cumsum(theta)])
+    ii, jj = np.triu_indices(a.shape[0])
+    return complex((np.atleast_2d(eval_law(prefix[jj + 1] - prefix[ii])) @ a[ii, jj])[0])
+
+
+@pytest.mark.parametrize("law_name", sorted(BLOCK_LAWS))
+@pytest.mark.parametrize("structure", sorted(ZERO_WEIGHT_STRUCTURES))
+def test_sampler_skips_zero_weight_blocks_bit_for_bit(structure, law_name):
+    proc = fidi.CoverageProcess(BLOCK_LAWS[law_name], ZERO_WEIGHT_STRUCTURES[structure])
+    a = corr.weights(proc.structure, ZERO_WEIGHT_GRID).a
+    assert 0 < np.count_nonzero(a) < a.shape[0] * (a.shape[0] + 1) // 2
+    got = proc.sample(ZERO_WEIGHT_GRID, child_rng(66), size=400)
+    assert np.array_equal(got, all_blocks_sample(proc, ZERO_WEIGHT_GRID, child_rng(66), 400))
+    ref = per_block_sample(proc, ZERO_WEIGHT_GRID, child_rng(66), 400)
+    if law_name == "poisson":
+        assert np.array_equal(got, ref)
+    else:
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
+def test_sampler_draws_once_per_positive_weight_block(monkeypatch):
+    proc = fidi.CoverageProcess(levy.gamma_law(), corr.power_structure(0.5))
+    grid = corr.TimeGrid([0.1 * k for k in range(50)])
+    times = []
+    draw = levy.LevyExponent.sample_increment
+
+    def counted(law, t, rng, size=None):
+        times.append(t)
+        return draw(law, t, rng, size=size)
+
+    monkeypatch.setattr(levy.LevyExponent, "sample_increment", counted)
+    proc.sample(grid, child_rng(67), size=3)
+    a = corr.weights(proc.structure, grid).a
+    assert len(times) == np.count_nonzero(a) < 50 * 51 // 2
+    assert min(times) > 0.0
+
+
+@pytest.mark.parametrize("law_name", sorted(BLOCK_LAWS))
+@pytest.mark.parametrize("structure", sorted(ZERO_WEIGHT_STRUCTURES))
+def test_log_cf_skips_zero_weight_blocks(structure, law_name):
+    proc = fidi.CoverageProcess(BLOCK_LAWS[law_name], ZERO_WEIGHT_STRUCTURES[structure])
+    a = corr.weights(proc.structure, ZERO_WEIGHT_GRID).a
+    rng = np.random.default_rng(68)
+    for theta in rng.normal(0.0, 1.5, size=(20, len(ZERO_WEIGHT_GRID))):
+        ref = all_blocks_log_cf(proc.law.eval, a, theta)
+        assert abs(proc.log_cf(ZERO_WEIGHT_GRID, theta) - ref) <= 1e-13
+
+
+def test_log_cf_unchanged_where_every_block_has_weight():
+    proc = fidi.CoverageProcess(levy.gamma_law(), corr.exponential_structure(0.8))
+    a = corr.weights(proc.structure, ZERO_WEIGHT_GRID).a
+    assert np.count_nonzero(a) == a.shape[0] * (a.shape[0] + 1) // 2
+    for theta in np.random.default_rng(69).normal(size=(20, len(ZERO_WEIGHT_GRID))):
+        assert proc.log_cf(ZERO_WEIGHT_GRID, theta) == all_blocks_log_cf(proc.law.eval, a, theta)
+
+
+@pytest.mark.parametrize("structure", sorted(ZERO_WEIGHT_STRUCTURES))
+def test_triplet_rays_are_the_positive_weight_blocks(structure):
+    proc = fidi.CoverageProcess(levy.poisson(2.0), ZERO_WEIGHT_STRUCTURES[structure])
+    a = corr.weights(proc.structure, ZERO_WEIGHT_GRID).a
+    n = a.shape[0]
+    want = []
+    for i in range(n):
+        for j in range(i, n):
+            if a[i, j] > 0.0:
+                u = np.zeros(n, dtype=int)
+                u[i : j + 1] = 1
+                want.append((u.tolist(), float(a[i, j])))
+    rays = proc.triplet(ZERO_WEIGHT_GRID).rays
+    assert [(u.tolist(), weight) for u, weight in rays] == want
+    assert all(u.dtype == np.dtype(int) for u, _ in rays)
+
+
 def test_reciprocal_law_pair_cfs_on_50_epochs():
     # the paper's limit law, sampled block by block on a long grid: each of
-    # the 1,275 blocks is an exact GD(c a[i,j]) increment, many with tiny a
+    # the 456 blocks of positive weight (of 1,275) is an exact GD(c a[i,j])
+    # increment, many with tiny a
     proc = fidi.CoverageProcess(levy.spectrally_positive(levy.reciprocal_measure(0.5)),
                                 corr.power_structure(0.5))
     grid = corr.TimeGrid([0.1 * k for k in range(50)])

@@ -461,6 +461,13 @@ def test_law_validation():
 
 BAD_NUMBERS = [np.nan, np.inf, -np.inf, True, "1", None]
 
+_SOURCE = onoff.OnOffSource(1.0, 1.0, 1.0)
+
+
+def _centered():
+    return fidi.CoverageProcess(levy.gaussian(0.0, 1.0), corr.power_structure(0.5))
+
+
 # each numeric parameter of each levy constructor, and each time argument, as
 # a one-argument builder
 LEVY_PARAMETERS = {
@@ -473,6 +480,17 @@ LEVY_PARAMETERS = {
     "increment_cf.h": lambda v: fidi.CoverageProcess(
         levy.gamma_law(), corr.power_structure(0.5)).increment_cf(v, 1.0),
     "transition_matrix.t": lambda v: onoff.OnOffSource(1.0, 1.0, 1.0).transition_matrix(v),
+    "covariance.h": lambda v: fidi.CoverageProcess(
+        levy.gamma_law(), corr.power_structure(0.5)).covariance(v),
+    "fourth_moment_increment_product.t1": lambda v: _centered().fourth_moment_increment_product(
+        v, 1.0, 2.0),
+    "fourth_moment_increment_product.t2": lambda v: _centered().fourth_moment_increment_product(
+        0.0, v, 2.0),
+    "fourth_moment_increment_product.t3": lambda v: _centered().fourth_moment_increment_product(
+        0.0, 1.0, v),
+    "increment_moment_forms.u": lambda v: onoff.increment_moment_forms(_SOURCE, v, 1.0, 2.0),
+    "increment_moment_forms.t": lambda v: onoff.increment_moment_forms(_SOURCE, 0.0, v, 2.0),
+    "increment_moment_forms.s": lambda v: onoff.increment_moment_forms(_SOURCE, 0.0, 1.0, v),
     "point_mass.value": levy.MarkDistribution.point_mass,
     "discrete.values": lambda v: levy.MarkDistribution.discrete([v, 1.0], [0.5, 0.5]),
     "discrete.probs": lambda v: levy.MarkDistribution.discrete([0.0, 1.0], [v, 0.5]),

@@ -57,6 +57,25 @@ def test_analytic_cf_equals_generic_engine(name):
             proc.log_cf(g, theta), abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["deterministic", "exponential"])
+def test_analytic_cf_skips_zero_weight_blocks(name):
+    # deterministic service leaves no customer on epochs more than 0.8
+    # apart, so those blocks have mean 0; exponential service leaves none
+    model = mginf.MGInfinityModel(1.3, SERVICES[name])
+    g = corr.TimeGrid([0.0, 0.3, 1.1, 1.2, 2.5, 4.0])
+    mu = model.mu_rect(g)
+    ii, jj = np.triu_indices(len(g))
+    assert (mu[ii, jj] == 0.0).any() == (name == "deterministic")
+    thetas = np.random.default_rng(70).normal(0.0, 1.5, size=(30, len(g)))
+    prefix = np.concatenate([np.zeros((30, 1)), np.cumsum(thetas, axis=1)], axis=1)
+    ref = (model.mark_cf(prefix[:, jj + 1] - prefix[:, ii]) - 1.0) @ mu[ii, jj]
+    got = model.log_cf(g, thetas)
+    if name == "deterministic":
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
+    else:
+        assert np.array_equal(got, ref)
+
+
 def test_marked_cf_equals_compound_poisson_process():
     mark = levy.MarkDistribution.discrete([1.0, 2.0], [0.5, 0.5])
     model = mginf.MGInfinityModel(1.5, SERVICES["exponential"], marks=mark)
