@@ -13,7 +13,6 @@ from .corr import (
     CorrelationStructure,
     ServiceDistribution,
     TimeGrid,
-    WeightMatrix,
     a_to_b,
     b_to_a,
     exponential_structure,
@@ -77,7 +76,6 @@ __all__ = [
     "ServiceDistribution",
     "TimeGrid",
     "UnsupportedMomentError",
-    "WeightMatrix",
     "a_to_b",
     "algebraic_identity_check",
     "increment_bound_check",

@@ -20,13 +20,16 @@ and its inverse are provided for moving between the weight array and
 covariance-style matrices.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConcavityError, PreconditionError, finite, probability_vector
 
 _CLAMP_FLOOR = -1e-9  # below this a negative weight is a modelling error
+# rounding bound of a four-point difference of H values in [0, 1]: an entry
+# at or below it is debris, not a ray
+_DEBRIS_CEILING = 2.0**-49
 
 
 class ServiceDistribution:
@@ -196,22 +199,6 @@ def as_grid(grid):
     return grid if isinstance(grid, TimeGrid) else TimeGrid(grid)
 
 
-@dataclass
-class WeightMatrix:
-    """Upper-triangular rectangle weights a[i,j] on a grid (0-based arrays)."""
-
-    grid: TimeGrid
-    a: np.ndarray = field(repr=False)
-
-    @property
-    def n(self):
-        return len(self.grid)
-
-    def column_mass(self, k):
-        """sum over i <= k <= j of a[i,j]; equals 1 for weights of a structure."""
-        return float(self.a[: k + 1, k:].sum())
-
-
 def _four_point(inner, pad):
     """Upper triangle of the four-point difference of a padded matrix.
 
@@ -227,13 +214,13 @@ def _four_point(inner, pad):
 
 
 def weights(structure, grid):
-    """Rectangle weights of a correlation structure on a grid.
+    """Rectangle weights a[i,j] of a correlation structure on a grid: the
+    (n, n) upper-triangular array, 0-based.
 
-    Entries in [-1e-9, 0) are rounding debris and are clamped to zero;
-    anything lower raises ConcavityError naming the entry.
+    Entries in [-1e-9, 2^-49] are rounding debris and are set to zero;
+    anything below -1e-9 raises ConcavityError naming the entry.
     """
-    grid = as_grid(grid)
-    t = grid.t
+    t = as_grid(grid).t
     # E[p, q] = H(t_q - t_p); only q >= p is meaningful
     E = np.atleast_2d(structure.eval(np.maximum(t[None, :] - t[:, None], 0.0)))
     a = _four_point(E, 1.0)
@@ -241,33 +228,33 @@ def weights(structure, grid):
     if bad.size:
         i, j = bad[0]
         raise ConcavityError(int(i) + 1, int(j) + 1, float(a[i, j]))
-    a[a < 0.0] = 0.0
-    return WeightMatrix(grid=grid, a=a)
+    a[a <= _DEBRIS_CEILING] = 0.0
+    return a
 
 
-def a_to_b(w):
-    """Quadratic-form matrix b[k,l] = sum_{i<=min, j>=max} a[i,j] (symmetric)."""
-    a = w.a if isinstance(w, WeightMatrix) else np.asarray(w, dtype=float)
+def a_to_b(a):
+    """Quadratic-form matrix b[k,l] = sum_{i<=min, j>=max} a[i,j] (symmetric).
+
+    Its diagonal b[k,k] is the column mass sum_{i<=k<=j} a[i,j], which is 1
+    for the weights of a structure.
+    """
+    a = np.asarray(a, dtype=float)
     pref = np.cumsum(a, axis=0)            # over i <= k
     suff = np.cumsum(pref[:, ::-1], axis=1)[:, ::-1]  # over j >= l
     b = np.triu(suff)
     return b + np.triu(b, 1).T
 
 
-def b_to_a(b, grid=None):
+def b_to_a(b):
     """Invert a_to_b: second mixed difference of b with zero padding.
 
     No sign check is applied; callers deciding whether b is a legitimate
     correlation object inspect the result themselves.
     """
     b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if b.shape != (n, n):
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise PreconditionError("b must be square")
-    a = _four_point(-b, 0.0)
-    if grid is None:
-        grid = TimeGrid(tuple(float(k) for k in range(1, n + 1)))
-    return WeightMatrix(grid=grid, a=a)
+    return _four_point(-b, 0.0)
 
 
 def block_spans(theta, a):

@@ -57,7 +57,7 @@ class CoverageProcess:
         ``theta`` may be a single vector of length n or a stack (M, n);
         returns complex scalar or (M,) respectively.
         """
-        single, weights, spans = corr.block_spans(theta, corr.weights(self.structure, grid).a)
+        single, weights, spans = corr.block_spans(theta, corr.weights(self.structure, grid))
         out = np.atleast_2d(self.law.eval(spans)) @ weights
         return complex(out[0]) if single else np.asarray(out)
 
@@ -81,16 +81,15 @@ class CoverageProcess:
     # -- structure ------------------------------------------------------
 
     def triplet(self, grid):
-        w = corr.weights(self.structure, grid)
-        n = w.n
+        a = corr.weights(self.structure, grid)
         drift = self.law.beta if self.law.kind == "gaussian" else 0.0
         diff = self.law.sigma2 if self.law.kind == "gaussian" else 0.0
-        beta_vec = np.array([drift * w.column_mass(k) for k in range(n)])
-        sigma = diff * corr.a_to_b(w)
-        k = np.arange(n)
-        rays = [(((k >= i) & (k <= j)).astype(int), float(w.a[i, j]))
-                for i, j in zip(*np.nonzero(w.a))]
-        return FidiTriplet(beta=beta_vec, sigma=sigma, rays=rays)
+        b = corr.a_to_b(a)
+        # b's diagonal holds the column masses sum_{i<=k<=j} a[i,j]
+        k = np.arange(a.shape[0])
+        rays = [(((k >= i) & (k <= j)).astype(int), float(a[i, j]))
+                for i, j in zip(*np.nonzero(a))]
+        return FidiTriplet(beta=drift * np.diag(b), sigma=diff * b, rays=rays)
 
     # -- exact sampling ---------------------------------------------------
 
@@ -102,12 +101,12 @@ class CoverageProcess:
         and removed at row j+1 of a difference array, whose running sum
         over rows is the sample: O(size * n^2) work at most.
         """
-        w = corr.weights(self.structure, grid)
-        n = w.n
+        a = corr.weights(self.structure, grid)
+        n = a.shape[0]
         m = 1 if size is None else count(size, "size")
         diff = np.zeros((n + 1, m))
-        for i, j in zip(*np.nonzero(w.a)):
-            z = self.law.sample_increment(w.a[i, j], rng, size=(m,))
+        for i, j in zip(*np.nonzero(a)):
+            z = self.law.sample_increment(a[i, j], rng, size=(m,))
             diff[i] += z
             diff[j + 1] -= z
         out = np.cumsum(diff[:n], axis=0, out=diff[:n])

@@ -204,7 +204,7 @@ class OnOffArraySpec:
                 raise PreconditionError("explicit spec needs rows")
             clean = {}
             for n, params in rows.items():
-                n = int(n)
+                n = count(n, "rows", least=1)
                 if len(params) != n:
                     raise PreconditionError(f"row {n} must list exactly {n} sources")
                 if any(len(p) != 2 for p in params):
@@ -217,7 +217,7 @@ class OnOffArraySpec:
 
     def row(self, n):
         """(lam, r) parameter vectors for row n."""
-        n = int(n)
+        n = count(n, "n", least=1)
         if self.kind == "power_example":
             lam = float(n) ** (-self.alpha_exp)
             return np.full(n, lam), self.b ** (np.arange(1, n + 1) * lam)
@@ -383,7 +383,7 @@ def check_assumptions(spec, n_list, x_probe, eps_list, nu, rtol_tail=0.02):
     with fewer its pass is None, and the top-level pass is taken over the
     assumptions whose pass is not None.  Report only; nothing raises.
     """
-    n_list = sorted(int(n) for n in n_list)
+    n_list = sorted(count(n, "n_list", least=1) for n in n_list)
     x_probe = [float(x) for x in x_probe]
     eps_list = sorted(float(e) for e in eps_list)
     rows = [row_measure(spec, n) for n in n_list]
@@ -450,7 +450,7 @@ def convergence_study(spec, nu, mu, grid, theta_vectors, n_list, n_reps, seed,
     apart.  The Monte-Carlo allowance 4/sqrt(N) is included.
     """
     # every row is looked up once, before the first draw, and handed to its batches
-    params = [(int(n), spec.row(n)) for n in n_list]
+    params = [(count(n, "n_list", least=1), spec.row(n)) for n in n_list]
     theta_vectors = np.asarray(theta_vectors, dtype=float)
     limit_vals = np.exp(espc_log_cf(nu, mu, grid, theta_vectors))
     rows = []
@@ -614,6 +614,8 @@ def remainder_bound_check(sources, grid, theta_vectors=None, enforce_sign=True):
             if m <= 3 else np.eye(m)
     theta_vectors = np.atleast_2d(np.asarray(theta_vectors, dtype=float))
     sources = list(sources)
+    if not sources:
+        raise PreconditionError("sources: expected at least one source")
     subsets = [sub for k in range(2, m + 1) for sub in combinations(range(m), k)]
     # member[i, g]: epoch g is in subset i; prev[i, g]: the member before a
     # later member g, else -1.  Arrays run over (sources, subsets) and

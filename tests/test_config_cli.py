@@ -349,7 +349,7 @@ class TestCfEval:
         })
         out = str(tmp_path / "cf.json")
         assert cli.main(["cf-eval", "--config", conf, "--out", out]) == 0
-        data = json.loads(open(out).read())
+        data = json.loads(pathlib.Path(out).read_text())
         assert len(data) == 4
         assert set(data[0]) == {"theta", "re", "im"}
 
@@ -465,7 +465,7 @@ class TestSample:
         conf = write_config(tmp_path, "c.json", SAMPLE_CONF)
         out = str(tmp_path / "draws.csv")
         assert cli.main(["sample", "--config", conf, "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = pathlib.Path(out).read_text().splitlines()
         assert lines[0] == "x1,x2"
         assert len(lines) == 1 + 300
 
@@ -784,11 +784,11 @@ class TestSimulateCoverage:
         })
         out = str(tmp_path / "counts.csv")
         assert cli.main(["simulate-coverage", "--config", conf, "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = pathlib.Path(out).read_text().splitlines()
         assert len(lines) == 401
         assert all(tok.lstrip("-").isdigit()
                    for tok in lines[1].split(","))
-        report = json.loads(open(str(tmp_path / "counts.json")).read())
+        report = json.loads((tmp_path / "counts.json").read_text())
         assert report["rho"] == pytest.approx(1.0)
         assert set(report) >= {"grid", "estimates", "distances", "n_samples",
                                "epoch_means", "epoch_variances"}
@@ -805,7 +805,7 @@ class TestSimulateCoverage:
         })
         out = str(tmp_path / "load.csv")
         assert cli.main(["simulate-coverage", "--config", conf, "--out", out]) == 0
-        first = open(out).read().splitlines()[1]
+        first = pathlib.Path(out).read_text().splitlines()[1]
         assert "." in first or "e" in first
 
     def test_existing_report_refused_before_sampling(self, tmp_path, capsys):
@@ -920,7 +920,7 @@ class TestSimulateOnoff:
         conf = write_config(tmp_path, "c.json", self.CONF)
         out = str(tmp_path / "rows.csv")
         assert cli.main(["simulate-onoff", "--config", conf, "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = pathlib.Path(out).read_text().splitlines()
         assert lines[0] == "x1,x2"
         assert len(lines) == 201
 
@@ -951,7 +951,7 @@ class TestCheckArrayAndConvergence:
         })
         out = str(tmp_path / "report.json")
         assert cli.main(["check-array", "--config", conf, "--out", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(pathlib.Path(out).read_text())
         assert report["pass"] is True
         assert report["A3"]["pass"] is True
 
@@ -963,7 +963,7 @@ class TestCheckArrayAndConvergence:
         })
         out = str(tmp_path / "report.json")
         assert cli.main(["check-array", "--config", conf, "--out", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(pathlib.Path(out).read_text())
         assert report["A1"]["pass"] is None
         assert "one row size" in report["A1"]["note"]
         assert all(report[k]["pass"] is True for k in ("A2", "A3", "A4", "A5", "A6"))
@@ -981,9 +981,9 @@ class TestCheckArrayAndConvergence:
         })
         out = str(tmp_path / "conv.json")
         assert cli.main(["convergence", "--config", conf, "--out", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(pathlib.Path(out).read_text())
         assert [r["n"] for r in report["rows"]] == [50, 200]
-        table = open(str(tmp_path / "conv.csv")).read().splitlines()
+        table = (tmp_path / "conv.csv").read_text().splitlines()
         assert table[0] == "n,sup,l2,analytic_bias"
         assert len(table) == 3
 
@@ -1064,6 +1064,7 @@ def test_bad_assumption_setting_refused_before_work(tmp_path, monkeypatch, capsy
     {"kind": "power_example", "mu": float("inf"), "alpha": 0.5, "b": 0.5},
     {"kind": "explicit", "mu": 1.0, "rows": {"2": [[0.1], [0.2, 0.5]]}},
     {"kind": "explicit", "mu": 1.0, "rows": {"2": [[0.1, 1.0, 7.0], [0.2, 0.5]]}},
+    {"kind": "explicit", "mu": 1.0, "rows": {"0": []}},
 ])
 def test_bad_onoff_array_refused_before_sampling(tmp_path, monkeypatch, capsys, array):
     calls = _sampler_calls(monkeypatch)
@@ -1146,6 +1147,8 @@ NAN, INF = float("nan"), float("inf")
     ("simulate-coverage", dict(MM_CONF, arrival_rate=True), "arrival_rate"),
     ("check-array", dict(ASSUMPTION_CONF, x_probe=[0.5, 0]), "x_probe"),
     ("check-array", dict(ASSUMPTION_CONF, eps_list=[-0.1]), "eps_list"),
+    ("check-array", dict(ASSUMPTION_CONF, array={"kind": "explicit", "mu": 1.0, "rows": {"0": []}}),
+     "array: rows: expected an integer >= 1, got 0"),
     ("convergence", dict(ASSUMPTION_CONF, eps_list=[0.1, -0.1]), "eps_list"),
     ("convergence", dict(ASSUMPTION_CONF, rtol_tail=INF), "rtol_tail"),
     # no law truncates, so trunc_eps is a field of none

@@ -87,7 +87,7 @@ def test_consistency_random_cases():
 def test_covariance_matches_b_matrix():
     proc = make_process("gamma", mu=0.8)
     g = corr.TimeGrid([0.0, 0.6, 2.0])
-    b = corr.a_to_b(corr.weights(proc.structure, g).a)
+    b = corr.a_to_b(corr.weights(proc.structure, g))
     for k in range(3):
         for l in range(3):
             lag = abs(g.t[k] - g.t[l])
@@ -149,14 +149,19 @@ def test_triplet_reconstructs_log_cf_for_jump_laws():
     assert rebuilt == pytest.approx(proc.log_cf(g, theta), abs=1e-12)
 
 
-def test_triplet_gaussian_parts():
+@pytest.mark.parametrize("case", ["exponential", "power_zero_weight_grid"])
+def test_triplet_gaussian_parts(case):
     beta, sigma2 = 0.7, 1.4
     law = levy.gaussian(beta, sigma2)
-    proc = fidi.CoverageProcess(law, corr.exponential_structure(1.0))
-    g = corr.TimeGrid([0.0, 1.0])
+    structure, g = {
+        "exponential": (corr.exponential_structure(1.0), corr.TimeGrid([0.0, 1.0])),
+        "power_zero_weight_grid": (corr.power_structure(0.5), ZERO_WEIGHT_GRID),
+    }[case]
+    proc = fidi.CoverageProcess(law, structure)
     tr = proc.triplet(g)
-    np.testing.assert_allclose(tr.beta, [beta, beta])
-    b = corr.a_to_b(corr.weights(proc.structure, g).a)
+    # every column of the weights carries mass one, so the drift is beta everywhere
+    np.testing.assert_allclose(tr.beta, np.full(len(g), beta), rtol=0.0, atol=1e-12)
+    b = corr.a_to_b(corr.weights(proc.structure, g))
     np.testing.assert_allclose(tr.sigma, sigma2 * b, atol=1e-14)
 
 
@@ -195,10 +200,10 @@ def test_sampler_single_draw_shape():
 def per_block_sample(proc, grid, rng, size):
     """Reference sampler: add each block's increment to every coordinate it covers."""
     w = corr.weights(proc.structure, grid)
-    out = np.zeros((size, w.n))
-    for i in range(w.n):
-        for j in range(i, w.n):
-            out[:, i : j + 1] += proc.law.sample_increment(w.a[i, j], rng, size=(size,))[:, None]
+    out = np.zeros((size, w.shape[0]))
+    for i in range(w.shape[0]):
+        for j in range(i, w.shape[0]):
+            out[:, i : j + 1] += proc.law.sample_increment(w[i, j], rng, size=(size,))[:, None]
     return out
 
 
@@ -234,13 +239,13 @@ def all_blocks_sample(proc, grid, rng, size):
     """The sampler's difference array filled from every block, zero-weight
     ones included, each of which draws nothing and adds zeros."""
     w = corr.weights(proc.structure, grid)
-    diff = np.zeros((w.n + 1, size))
-    for i in range(w.n):
-        for j in range(i, w.n):
-            z = proc.law.sample_increment(w.a[i, j], rng, size=(size,))
+    diff = np.zeros((w.shape[0] + 1, size))
+    for i in range(w.shape[0]):
+        for j in range(i, w.shape[0]):
+            z = proc.law.sample_increment(w[i, j], rng, size=(size,))
             diff[i] += z
             diff[j + 1] -= z
-    return np.cumsum(diff[:w.n], axis=0).T
+    return np.cumsum(diff[:w.shape[0]], axis=0).T
 
 
 def all_blocks_log_cf(eval_law, a, theta):
@@ -254,7 +259,7 @@ def all_blocks_log_cf(eval_law, a, theta):
 @pytest.mark.parametrize("structure", sorted(ZERO_WEIGHT_STRUCTURES))
 def test_sampler_skips_zero_weight_blocks_bit_for_bit(structure, law_name):
     proc = fidi.CoverageProcess(BLOCK_LAWS[law_name], ZERO_WEIGHT_STRUCTURES[structure])
-    a = corr.weights(proc.structure, ZERO_WEIGHT_GRID).a
+    a = corr.weights(proc.structure, ZERO_WEIGHT_GRID)
     assert 0 < np.count_nonzero(a) < a.shape[0] * (a.shape[0] + 1) // 2
     got = proc.sample(ZERO_WEIGHT_GRID, child_rng(66), size=400)
     assert np.array_equal(got, all_blocks_sample(proc, ZERO_WEIGHT_GRID, child_rng(66), 400))
@@ -277,7 +282,7 @@ def test_sampler_draws_once_per_positive_weight_block(monkeypatch):
 
     monkeypatch.setattr(levy.LevyExponent, "sample_increment", counted)
     proc.sample(grid, child_rng(67), size=3)
-    a = corr.weights(proc.structure, grid).a
+    a = corr.weights(proc.structure, grid)
     assert len(times) == np.count_nonzero(a) < 50 * 51 // 2
     assert min(times) > 0.0
 
@@ -286,7 +291,7 @@ def test_sampler_draws_once_per_positive_weight_block(monkeypatch):
 @pytest.mark.parametrize("structure", sorted(ZERO_WEIGHT_STRUCTURES))
 def test_log_cf_skips_zero_weight_blocks(structure, law_name):
     proc = fidi.CoverageProcess(BLOCK_LAWS[law_name], ZERO_WEIGHT_STRUCTURES[structure])
-    a = corr.weights(proc.structure, ZERO_WEIGHT_GRID).a
+    a = corr.weights(proc.structure, ZERO_WEIGHT_GRID)
     rng = np.random.default_rng(68)
     for theta in rng.normal(0.0, 1.5, size=(20, len(ZERO_WEIGHT_GRID))):
         ref = all_blocks_log_cf(proc.law.eval, a, theta)
@@ -295,7 +300,7 @@ def test_log_cf_skips_zero_weight_blocks(structure, law_name):
 
 def test_log_cf_unchanged_where_every_block_has_weight():
     proc = fidi.CoverageProcess(levy.gamma_law(), corr.exponential_structure(0.8))
-    a = corr.weights(proc.structure, ZERO_WEIGHT_GRID).a
+    a = corr.weights(proc.structure, ZERO_WEIGHT_GRID)
     assert np.count_nonzero(a) == a.shape[0] * (a.shape[0] + 1) // 2
     for theta in np.random.default_rng(69).normal(size=(20, len(ZERO_WEIGHT_GRID))):
         assert proc.log_cf(ZERO_WEIGHT_GRID, theta) == all_blocks_log_cf(proc.law.eval, a, theta)
@@ -304,7 +309,7 @@ def test_log_cf_unchanged_where_every_block_has_weight():
 @pytest.mark.parametrize("structure", sorted(ZERO_WEIGHT_STRUCTURES))
 def test_triplet_rays_are_the_positive_weight_blocks(structure):
     proc = fidi.CoverageProcess(levy.poisson(2.0), ZERO_WEIGHT_STRUCTURES[structure])
-    a = corr.weights(proc.structure, ZERO_WEIGHT_GRID).a
+    a = corr.weights(proc.structure, ZERO_WEIGHT_GRID)
     n = a.shape[0]
     want = []
     for i in range(n):
@@ -320,7 +325,7 @@ def test_triplet_rays_are_the_positive_weight_blocks(structure):
 
 def test_reciprocal_law_pair_cfs_on_50_epochs():
     # the paper's limit law, sampled block by block on a long grid: each of
-    # the 456 blocks of positive weight (of 1,275) is an exact GD(c a[i,j])
+    # the 455 blocks of positive weight (of 1,275) is an exact GD(c a[i,j])
     # increment, many with tiny a
     proc = fidi.CoverageProcess(levy.spectrally_positive(levy.reciprocal_measure(0.5)),
                                 corr.power_structure(0.5))

@@ -35,7 +35,7 @@ def test_mu_rect_equals_scaled_weights(name):
     model = mginf.MGInfinityModel(1.7, service)
     g = corr.TimeGrid([0.0, 0.3, 1.1, 2.4])
     mu = model.mu_rect(g)
-    a = corr.weights(corr.integrated_tail_structure(service), g).a
+    a = corr.weights(corr.integrated_tail_structure(service), g)
     np.testing.assert_allclose(mu, model.rho * a, atol=1e-12)
 
 

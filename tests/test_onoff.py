@@ -173,6 +173,21 @@ class TestArraySpec:
         with pytest.raises(PreconditionError, match=match):
             onoff.OnOffArraySpec("explicit", mu=1.0, rows={2: [first, (0.2, 0.5)]})
 
+    @pytest.mark.parametrize("n", [2.5, True, 0, -1, "2", None], ids=repr)
+    def test_row_size_is_a_whole_number_of_at_least_one(self, n):
+        power = onoff.OnOffArraySpec("power_example", mu=1.0, alpha_exp=0.5, b=0.5)
+        explicit = onoff.OnOffArraySpec("explicit", mu=1.0, rows={1: [(0.1, 1.0)]})
+        for spec in (power, explicit):
+            with pytest.raises(PreconditionError, match="^n: expected an integer >= 1"):
+                spec.row(n)
+        with pytest.raises(PreconditionError, match="^rows: expected an integer >= 1"):
+            onoff.OnOffArraySpec("explicit", mu=1.0, rows={n: []})
+        nu = levy.reciprocal_measure(0.5)
+        with pytest.raises(PreconditionError, match="^n_list: expected an integer >= 1"):
+            onoff.check_assumptions(power, [4, n], [0.5], [0.1], nu)
+        with pytest.raises(PreconditionError, match="^n_list: expected an integer >= 1"):
+            onoff.convergence_study(power, nu, 1.0, [0.0, 1.0], [[1.0, -1.0]], [4, n], 10, 1)
+
 
 class TestRowMeasureAndLimits:
     def setup_method(self):
@@ -285,7 +300,7 @@ class TestRowCfAndSuperposition:
     def test_espc_weights_match_generic_builder(self):
         for mu in (0.5, 1.0, 2.7):
             a_direct = onoff.espc_weights(mu, self.grid)
-            a_generic = corr.weights(corr.exponential_structure(mu), self.grid).a
+            a_generic = corr.weights(corr.exponential_structure(mu), self.grid)
             np.testing.assert_allclose(a_direct, a_generic, atol=1e-14)
 
     def test_espc_log_cf_equals_generic_process(self):
@@ -852,6 +867,10 @@ class TestRemainders:
         with pytest.raises(BoundViolationError) as exc:
             onoff.remainder_bound_check(sources, grid)
         assert str(exc.value) == message
+
+    def test_no_sources_refused(self):
+        with pytest.raises(PreconditionError, match="^sources: expected at least one"):
+            onoff.remainder_bound_check([], corr.TimeGrid([0.0, 1.0]))
 
     def test_pi_remainder_never_negative(self):
         # E[prod xi] - pi e^{-mu D} >= 0 across regimes; this is the
